@@ -78,9 +78,10 @@ def compile_spec(spec: BugSpec) -> MetaModel:
     )
     _validate_block_positions(model)
     # Imported late: the scanner package imports the DSL at module level.
-    from repro.scanner.prefilter import derive_requirements
+    from repro.scanner.prefilter import derive_anchor, derive_requirements
 
     model.requirements = derive_requirements(model)
+    model.anchor = derive_anchor(model)
     return model
 
 

@@ -22,7 +22,7 @@ from repro.dsl.lexer import is_placeholder
 from repro.dsl.parser import BugSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.scanner.prefilter import SpecRequirements
+    from repro.scanner.prefilter import Anchor, SpecRequirements
 
 
 @dataclass
@@ -38,6 +38,9 @@ class MetaModel:
     #: Fingerprint requirement derived by the compiler; the scan engine
     #: skips files that cannot satisfy it (None = never prefilter).
     requirements: "SpecRequirements | None" = None
+    #: Where the anchor statement of a match window can land; the matcher
+    #: tries only the window starts it allows (None = every start).
+    anchor: "Anchor | None" = None
 
     @property
     def name(self) -> str:

@@ -7,18 +7,23 @@ from repro.scanner.cache import (
     faultload_digest,
     source_digest,
 )
-from repro.scanner.matcher import Match, Matcher, call_name, name_matches
+from repro.scanner.index import (
+    FileFingerprint,
+    FileIndex,
+    build_index,
+    call_name,
+)
+from repro.scanner.matcher import Match, Matcher, name_matches
 from repro.scanner.points import InjectionPoint, component_of
 from repro.scanner.prefilter import (
-    FileFingerprint,
+    Anchor,
     SpecRequirements,
+    derive_anchor,
     derive_requirements,
 )
 from repro.scanner.scan import (
-    FileIndex,
     ScanEngine,
     ScanResult,
-    build_index,
     match_source,
     nth_match,
     scan_file,
@@ -28,6 +33,7 @@ from repro.scanner.scan import (
 )
 
 __all__ = [
+    "Anchor",
     "Bindings",
     "CallCapture",
     "FileFingerprint",
@@ -43,6 +49,7 @@ __all__ = [
     "build_index",
     "call_name",
     "component_of",
+    "derive_anchor",
     "derive_requirements",
     "faultload_digest",
     "match_source",

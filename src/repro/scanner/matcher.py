@@ -1,9 +1,11 @@
 """The pattern-matching engine: meta-model AST vs. program AST (paper §IV-A).
 
 The matcher walks every statement list of the target program and tries to
-match the compiled code pattern as a contiguous *window* of statements.
-Matching is structural: plain Python nodes in the pattern must equal the
-target node-for-node (ignoring positions and expression contexts), while
+match the compiled code pattern as a contiguous *window* of statements,
+at every window start where the pattern's anchor statement can land (see
+:mod:`repro.scanner.index`).  Matching is structural: plain Python nodes
+in the pattern must equal the target node-for-node (ignoring positions and
+expression contexts; constants compare by type and value), while
 directive placeholders match families of nodes:
 
 * ``$BLOCK{stmts=min,max}`` — a run of ``min..max`` statements (lazy, with
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.common.textutil import glob_match
 from repro.dsl.directives import Directive, DirectiveKind
@@ -31,6 +34,10 @@ from repro.dsl.metamodel import (
 )
 from repro.dsl.params import UNBOUNDED
 from repro.scanner.bindings import Bindings, CallCapture
+from repro.scanner.index import FileIndex, StmtList, build_index, call_name
+
+if TYPE_CHECKING:  # pragma: no cover - prefilter imports this module
+    from repro.scanner.prefilter import Anchor
 
 #: AST fields irrelevant for structural equality.
 _IGNORED_FIELDS = {"ctx", "type_comment", "type_ignores", "type_params"}
@@ -72,23 +79,12 @@ class Match:
         col = stmts[0].col_offset if stmts else 0
         return (self.lineno, col, self.end_lineno)
 
-
-def call_name(func: ast.expr) -> str | None:
-    """Dotted name of a call target (``utils.execute``), or None."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    elif parts:
-        # Call on a computed object, e.g. get_client().delete_port(...):
-        # the dotted suffix is still meaningful for matching.
-        parts.append("*")
-    else:
-        return None
-    return ".".join(reversed(parts))
+    @property
+    def anchor_key(self) -> tuple:
+        """Identity of the concretely matched statements (dedup key)."""
+        return self.bindings.get(_ANCHORS_TAG) or (
+            id(self.owner), self.field, self.start, self.end,
+        )
 
 
 def name_matches(pattern: str, dotted: str | None) -> bool:
@@ -127,48 +123,38 @@ def pick_match(matches: "list[Match]", spec_name: str, ordinal: int) -> "Match":
     return matches[ordinal]
 
 
-def is_stmt_list(value) -> bool:
-    """True for a non-empty field value holding only statements.
-
-    Shared by :func:`iter_stmt_lists` and the scan engine's index builder
-    so both walks agree, by construction, on what counts as a matchable
-    statement list.
-    """
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(isinstance(item, ast.stmt) for item in value)
-    )
-
-
-def iter_stmt_lists(tree: ast.AST):
-    """Yield every ``(owner, field, stmt_list)`` in ``tree``, outside-in."""
-    for node in ast.walk(tree):
-        for fname, value in ast.iter_fields(node):
-            if is_stmt_list(value):
-                yield node, fname, value
-
-
 class Matcher:
-    """Find every match of one meta-model inside a target AST."""
+    """Find every match of one meta-model inside a target AST.
+
+    Counters (summed by :meth:`repro.scanner.scan.ScanEngine.prefilter_stats`):
+    ``runs`` / ``runs_skipped`` count files searched and files the
+    file-level prefilter rejected; ``starts_total`` / ``starts_tried``
+    count, over the files searched, the window starts of every statement
+    list and those the anchor left viable.
+    """
 
     def __init__(self, model: MetaModel) -> None:
         self.model = model
         self._pattern = model.pattern_stmts
         self._min_len = self._pattern_min_len(self._pattern)
+        self.runs = 0
+        self.runs_skipped = 0
+        self.starts_total = 0
+        self.starts_tried = 0
 
     # -- public API ----------------------------------------------------------
 
     def find_matches(self, tree: ast.AST) -> list[Match]:
         """All matches of the pattern in ``tree``, in source order."""
-        return self.find_matches_in(iter_stmt_lists(tree))
+        return self.find_matches_in(build_index(tree))
 
-    def find_matches_in(self, stmt_lists) -> list[Match]:
-        """All matches over pre-collected ``(owner, field, stmts)`` lists.
+    def find_matches_in(self, index: FileIndex) -> list[Match]:
+        """All matches in an indexed file, in source order.
 
-        The indexed scan engine collects the statement lists of a file once
-        (one AST walk) and runs every surviving matcher against them; see
-        :class:`repro.scanner.scan.FileIndex`.
+        The scan engine indexes a file once (one AST walk) and runs every
+        matcher against it.  A file that cannot satisfy the spec's
+        requirements is skipped outright; otherwise a window is tried only
+        at the starts the pattern's anchor allows.
 
         Overlapping matches that pin the same *anchor* statements (the
         concrete, non-wildcard pattern elements) are duplicates — variable
@@ -176,34 +162,61 @@ class Matcher:
         and only the first is kept, so the faultload contains one mutant
         per genuinely distinct injection.
         """
+        self.runs += 1
+        requirements = self.model.requirements
+        if (requirements is not None
+                and not requirements.satisfied_by(index.fingerprint)):
+            self.runs_skipped += 1
+            return []
+        anchor = self.model.anchor
+        stmt_lists = (index.stmt_lists if anchor is None
+                      else index.lists_calling(anchor.call_segments))
+        self.starts_total += index.window_starts(self._min_len)
         matches: list[Match] = []
         seen_anchors: set[tuple] = set()
-        for owner, fname, stmts in stmt_lists:
-            index = 0
-            while index + self._min_len <= len(stmts):
-                bindings = Bindings()
-                end = self._match_seq(
-                    self._pattern, 0, stmts, index, bindings, anchored_end=False
-                )
-                if end is not None:
-                    anchors = bindings.get(_ANCHORS_TAG) or (
-                        id(owner), fname, index, end,
-                    )
-                    if anchors not in seen_anchors:
-                        seen_anchors.add(anchors)
-                        matches.append(
-                            Match(
-                                owner=owner,
-                                field=fname,
-                                start=index,
-                                end=end,
-                                bindings=bindings,
-                                spec_name=self.model.name,
-                            )
-                        )
-                index += 1
+        for listed in stmt_lists:
+            last = len(listed.stmts) - self._min_len
+            if last < 0:
+                continue
+            starts = (range(last + 1) if anchor is None
+                      else self._viable_starts(anchor, listed, last))
+            self.starts_tried += len(starts)
+            for start in starts:
+                match = self.match_at(listed.owner, listed.field,
+                                      listed.stmts, start)
+                if match is not None and match.anchor_key not in seen_anchors:
+                    seen_anchors.add(match.anchor_key)
+                    matches.append(match)
         matches.sort(key=Match.sort_key)
         return matches
+
+    def match_at(self, owner: ast.AST, fname: str, stmts: list[ast.stmt],
+                 start: int) -> Match | None:
+        """The match window starting at ``stmts[start]``, if any."""
+        bindings = Bindings()
+        end = self._match_seq(
+            self._pattern, 0, stmts, start, bindings, anchored_end=False
+        )
+        if end is None:
+            return None
+        return Match(owner=owner, field=fname, start=start, end=end,
+                     bindings=bindings, spec_name=self.model.name)
+
+    @staticmethod
+    def _viable_starts(anchor: Anchor, listed: StmtList, last: int):
+        """Window starts in ``0..last`` from which the anchor can land on
+        a statement calling every anchor segment, in increasing order."""
+        landings = listed.positions_calling(anchor.call_segments)
+        if not landings:
+            return ()
+        lead_min, lead_max = anchor.lead_min, anchor.lead_max
+        if lead_max == UNBOUNDED:
+            return range(min(max(landings) - lead_min, last) + 1)
+        starts: set[int] = set()
+        for landing in landings:
+            starts.update(range(max(landing - lead_max, 0),
+                                min(landing - lead_min, last) + 1))
+        return sorted(starts)
 
     # -- statement-sequence matching -----------------------------------------
 
@@ -363,9 +376,10 @@ class Matcher:
                     return False
                 if not self._match_node(p_value, t_value, bindings):
                     return False
-            else:
-                if t_value != p_value:
-                    return False
+            elif t_value != p_value or type(t_value) is not type(p_value):
+                # Typed: the pattern constant ``1`` must not match ``True``
+                # or ``1.0``, which compare equal to it.
+                return False
         return True
 
     def _match_list(self, fname: str, p_list: list, t_list,

@@ -13,15 +13,24 @@ most (spec, file) pairs can never match — a spec targeting
 
 At scan time one :class:`FileFingerprint` is computed per file in a single
 AST walk, and every spec whose requirements the fingerprint cannot satisfy
-is skipped without running the matcher.  The filter is *sound*: it only
-skips specs that provably have zero matches, so the indexed engine returns
-byte-identical results to the naive matcher.
+is skipped without running the matcher.
+
+The same derivation, run over the pattern's *anchor* (its first concrete
+top-level statement), gives an :class:`Anchor`: the call segments that
+statement needs plus the offset bounds of the ``$BLOCK``/``...`` runs
+before it.  The matcher then tries a window only at starts where a
+statement holding those segments lies within the offset bounds (see
+:mod:`repro.scanner.index`).
+
+Both filters are *sound*: they only skip work that provably yields no
+match, so the indexed engine returns byte-identical results to a matcher
+that tries every window start of every file.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dsl.directives import DirectiveKind
 from repro.dsl.metamodel import (
@@ -29,7 +38,9 @@ from repro.dsl.metamodel import (
     is_ellipsis_expr,
     is_ellipsis_stmt,
 )
-from repro.scanner.matcher import _IGNORED_FIELDS, call_name
+from repro.dsl.params import UNBOUNDED
+from repro.scanner.index import FileFingerprint
+from repro.scanner.matcher import _IGNORED_FIELDS
 
 #: Characters that make a glob segment non-literal.
 _GLOB_CHARS = set("*?[")
@@ -76,38 +87,6 @@ class SpecRequirements:
         )
 
 
-@dataclass
-class FileFingerprint:
-    """Cheap per-file summary checked against :class:`SpecRequirements`.
-
-    Built in the same single ``ast.walk`` that collects the statement lists
-    for the :class:`~repro.scanner.scan.FileIndex`.
-    """
-
-    node_types: set[str] = field(default_factory=set)
-    call_segments: set[str] = field(default_factory=set)
-    constants: set = field(default_factory=set)
-
-    def add_node(self, node: ast.AST) -> None:
-        """Record one AST node (called once per node during the walk)."""
-        self.node_types.add(type(node).__name__)
-        if isinstance(node, ast.Call):
-            # Same dotted-name rules as the matcher: segment requirements
-            # stay sound against whatever names the matcher would see.
-            dotted = call_name(node.func)
-            if dotted is not None:
-                self.call_segments.update(dotted.split("."))
-        elif isinstance(node, ast.Constant):
-            self.constants.add(node.value)
-
-    @classmethod
-    def from_tree(cls, tree: ast.AST) -> "FileFingerprint":
-        fingerprint = cls()
-        for node in ast.walk(tree):
-            fingerprint.add_node(node)
-        return fingerprint
-
-
 class _RequirementCollector:
     """Walk a compiled pattern, mirroring the matcher's dispatch rules."""
 
@@ -117,8 +96,8 @@ class _RequirementCollector:
         self.call_segments: set[str] = set()
         self.constants: set = set()
 
-    def collect(self) -> SpecRequirements:
-        self._stmt_list(self.model.pattern_stmts)
+    def collect(self, stmts: list[ast.stmt]) -> SpecRequirements:
+        self._stmt_list(stmts)
         return SpecRequirements(
             node_types=frozenset(self.node_types),
             call_segments=frozenset(self.call_segments),
@@ -236,4 +215,47 @@ class _RequirementCollector:
 
 def derive_requirements(model: MetaModel) -> SpecRequirements:
     """Derive the fingerprint requirement of one compiled spec."""
-    return _RequirementCollector(model).collect()
+    return _RequirementCollector(model).collect(model.pattern_stmts)
+
+
+@dataclass(frozen=True)
+class Anchor:
+    """Where a match window's anchor statement must land.
+
+    The anchor is the pattern's first concrete top-level statement.  A
+    window starting at statement ``i`` puts it at ``i + lead`` with
+    ``lead_min <= lead <= lead_max`` (the leading ``$BLOCK``/``...``
+    runs; ``lead_max`` is ``UNBOUNDED`` after an open-ended one), and any
+    statement it matches has every one of ``call_segments`` in a call
+    name of its subtree.
+    """
+
+    call_segments: frozenset[str]
+    lead_min: int
+    lead_max: int
+
+
+def derive_anchor(model: MetaModel) -> Anchor | None:
+    """The anchor of one compiled spec.
+
+    None when the pattern has no concrete top-level statement or its
+    anchor pins no call segment: then every window start stays viable.
+    """
+    lead_min = lead_max = 0
+    for stmt in model.pattern_stmts:
+        directive = model.directive_of_stmt(stmt)
+        if directive is not None and directive.kind is DirectiveKind.BLOCK:
+            low, high = directive.stmt_range
+        elif is_ellipsis_stmt(stmt):
+            low, high = 0, UNBOUNDED
+        else:
+            segments = _RequirementCollector(model).collect([stmt]).call_segments
+            if not segments:
+                return None
+            return Anchor(segments, lead_min, lead_max)
+        lead_min += low
+        if UNBOUNDED in (lead_max, high):
+            lead_max = UNBOUNDED
+        else:
+            lead_max += high
+    return None

@@ -2,13 +2,16 @@
 
 The scan hot path is an *indexed engine* (§V-D scalability):
 
-1. each file is parsed once and summarized by a :class:`FileIndex` — the
-   statement lists the matcher windows over plus a
-   :class:`~repro.scanner.prefilter.FileFingerprint`, both collected in a
-   single AST walk;
+1. each file is parsed once and summarized by a
+   :class:`~repro.scanner.index.FileIndex` — the statement lists the
+   matcher windows over, each with a ``call segment -> positions`` map,
+   plus a :class:`~repro.scanner.index.FileFingerprint`, all collected in
+   a single AST walk;
 2. every spec compiles to a :class:`~repro.scanner.prefilter.SpecRequirements`
-   prefilter; specs the fingerprint cannot satisfy are skipped without
-   running the matcher, which eliminates most ``specs x files`` work for
+   prefilter and an :class:`~repro.scanner.prefilter.Anchor`; specs the
+   fingerprint cannot satisfy are skipped without running the matcher,
+   and the others try a window only where their anchor statement can
+   land, which eliminates most ``specs x files x statements`` work for
    API-glob faultloads;
 3. ``jobs > 1`` fans files out over *warm* worker processes — specs are
    compiled once per worker (``ProcessPoolExecutor(initializer=...)``) and
@@ -17,8 +20,9 @@ The scan hot path is an *indexed engine* (§V-D scalability):
    results by ``(sha256(source), faultload_digest)`` so repeated campaigns
    over unchanged trees (the as-a-Service case) skip re-matching.
 
-The engine returns byte-identical :class:`InjectionPoint` lists to the
-naive per-spec matcher (see ``tests/test_scan_engine.py``).
+The engine returns byte-identical :class:`InjectionPoint` lists to a
+per-spec matcher that tries a window at every statement of every file
+(see ``tests/test_scan_engine.py`` and ``tests/test_anchor_index.py``).
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ from repro.scanner.cache import (
     source_digest,
     tree_digest_of,
 )
-from repro.scanner.matcher import Match, Matcher, is_stmt_list, pick_match
+from repro.scanner.index import build_index
+from repro.scanner.matcher import Match, Matcher, pick_match
 from repro.scanner.points import InjectionPoint, component_of
-from repro.scanner.prefilter import FileFingerprint
 
 
 @dataclass
@@ -65,30 +69,6 @@ class ScanResult:
         self.parse_errors.update(other.parse_errors)
 
 
-# -- the per-file index ---------------------------------------------------------
-
-
-@dataclass
-class FileIndex:
-    """Everything the matchers need from one file, built in one walk."""
-
-    tree: ast.AST
-    stmt_lists: list[tuple[ast.AST, str, list[ast.stmt]]]
-    fingerprint: FileFingerprint
-
-
-def build_index(tree: ast.AST) -> FileIndex:
-    """Collect the statement lists and the fingerprint in a single walk."""
-    fingerprint = FileFingerprint()
-    stmt_lists: list[tuple[ast.AST, str, list[ast.stmt]]] = []
-    for node in ast.walk(tree):
-        fingerprint.add_node(node)
-        for fname, value in ast.iter_fields(node):
-            if is_stmt_list(value):
-                stmt_lists.append((node, fname, value))
-    return FileIndex(tree=tree, stmt_lists=stmt_lists, fingerprint=fingerprint)
-
-
 # -- the scan engine ------------------------------------------------------------
 
 
@@ -97,15 +77,13 @@ class ScanEngine:
 
     One engine per scan (or per warm worker process): matchers are
     constructed once, the faultload digest is computed once, and prefilter
-    effectiveness is tracked in :attr:`pairs_total` / :attr:`pairs_skipped`.
+    effectiveness is reported by :meth:`prefilter_stats`.
     """
 
     def __init__(self, models: list[MetaModel]) -> None:
         self.models = models
         self._matchers = [Matcher(model) for model in models]
         self._digest: str | None = None
-        self.pairs_total = 0
-        self.pairs_skipped = 0
 
     @property
     def digest(self) -> str:
@@ -118,15 +96,7 @@ class ScanEngine:
         index = build_index(ast.parse(source))
         rows: list[dict] = []
         for model, matcher in zip(self.models, self._matchers):
-            self.pairs_total += 1
-            requirements = model.requirements
-            if (requirements is not None
-                    and not requirements.satisfied_by(index.fingerprint)):
-                self.pairs_skipped += 1
-                continue
-            for ordinal, match in enumerate(
-                matcher.find_matches_in(index.stmt_lists)
-            ):
+            for ordinal, match in enumerate(matcher.find_matches_in(index)):
                 snippet = "; ".join(
                     ast.unparse(stmt).splitlines()[0]
                     for stmt in match.stmts[:3]
@@ -145,11 +115,27 @@ class ScanEngine:
         return rows_to_points(self.scan_rows(source), file)
 
     def prefilter_stats(self) -> dict:
+        """File- and statement-level prefilter effectiveness.
+
+        ``pairs_*`` count spec x file pairs and those the file-level
+        requirements skipped; ``starts_*`` count, over the pairs the
+        matcher ran on, the window starts of every statement list and
+        those the anchor left to try.
+        """
+        def total(counter: str) -> int:
+            return sum(getattr(matcher, counter) for matcher in self._matchers)
+
+        pairs_total, pairs_skipped = total("runs"), total("runs_skipped")
+        starts_total, starts_tried = total("starts_total"), total("starts_tried")
         return {
-            "pairs_total": self.pairs_total,
-            "pairs_skipped": self.pairs_skipped,
-            "skip_rate": (self.pairs_skipped / self.pairs_total
-                          if self.pairs_total else 0.0),
+            "pairs_total": pairs_total,
+            "pairs_skipped": pairs_skipped,
+            "skip_rate": (pairs_skipped / pairs_total
+                          if pairs_total else 0.0),
+            "starts_total": starts_total,
+            "starts_tried": starts_tried,
+            "start_skip_rate": (1.0 - starts_tried / starts_total
+                                if starts_total else 0.0),
         }
 
 
@@ -175,14 +161,7 @@ def rows_to_points(rows: list[dict], file: str) -> list[InjectionPoint]:
 
 def match_source(source: str, model: MetaModel) -> list[Match]:
     """All matches of one meta-model in a source string."""
-    tree = ast.parse(source)
-    requirements = model.requirements
-    if requirements is not None:
-        index = build_index(tree)
-        if not requirements.satisfied_by(index.fingerprint):
-            return []
-        return Matcher(model).find_matches_in(index.stmt_lists)
-    return Matcher(model).find_matches(tree)
+    return Matcher(model).find_matches(ast.parse(source))
 
 
 def nth_match(source: str, model: MetaModel, ordinal: int) -> Match:

@@ -3,10 +3,10 @@
 import ast
 
 import pytest
+from oracle import every_start_matches
 
 from repro.dsl.compiler import compile_text
 from repro.faultmodel.library import extended_model, gswfit_model
-from repro.scanner.matcher import Matcher
 from repro.scanner.prefilter import (
     FileFingerprint,
     derive_requirements,
@@ -197,7 +197,7 @@ def test_prefilter_never_skips_a_matching_spec(source):
     fingerprint = FileFingerprint.from_tree(tree)
     for model_set in (gswfit_model(), extended_model()):
         for model in model_set.compile():
-            matches = Matcher(model).find_matches(tree)
+            matches = every_start_matches(model, tree)
             requirements = derive_requirements(model)
             if matches:
                 assert requirements.satisfied_by(fingerprint), (

@@ -11,6 +11,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from oracle import every_start_matches
 
 from repro.common.textutil import truncate
 from repro.faultmodel.library import (
@@ -21,7 +22,6 @@ from repro.faultmodel.library import (
 from repro.mutator.mutate import Mutator
 from repro.orchestrator.campaign import Campaign, CampaignConfig
 from repro.scanner.cache import MatchMemo, ScanCache, faultload_digest
-from repro.scanner.matcher import Matcher
 from repro.scanner.points import InjectionPoint, component_of
 from repro.scanner.scan import (
     ScanEngine,
@@ -35,12 +35,12 @@ from repro.synth import SynthConfig, generate_codebase, scan_pattern_apis
 
 
 def naive_scan_source(source, models, file="<string>"):
-    """The seed implementation: full AST walk per spec, no prefilter."""
+    """The reference scan: a window at every start, per spec, no prefilter."""
     tree = ast.parse(source)
     points = []
     component = component_of(file)
     for model in models:
-        matches = Matcher(model).find_matches(tree)
+        matches = every_start_matches(model, tree)
         for ordinal, match in enumerate(matches):
             snippet = "; ".join(
                 ast.unparse(stmt).splitlines()[0] for stmt in match.stmts[:3]
@@ -85,6 +85,8 @@ class TestEquivalence:
             assert indexed == naive
         stats = engine.prefilter_stats()
         assert stats["pairs_skipped"] > 0  # the prefilter actually fires
+        # ... and so does the anchor index, inside the files it keeps.
+        assert 0 < stats["starts_tried"] < stats["starts_total"]
 
     def test_scan_tree_parallel_matches_serial(self, synth_tree, api_model):
         specs = api_model.enabled_specs()

@@ -271,6 +271,14 @@ class TestExpressionMatching:
         )
         assert found == []
 
+    def test_constants_compare_by_type(self):
+        # 1 == True == 1.0 in Python; the pattern constant pins the type.
+        found, _ = matches_of(
+            "change { retries = 1 } into { retries = 0 }",
+            "retries = True\nretries = 1.0\nretries = 1\nretries = 2\n",
+        )
+        assert [match.lineno for match in found] == [3]
+
 
 class TestCallArguments:
     def test_wildcard_absorbs_positional(self):
