@@ -1,14 +1,12 @@
-"""EX1 — execution engine: batched pre-generation + streaming throughput.
+"""EX1 — execution engine: pipelined generation + streaming throughput.
 
-Paper §IV-B dominates campaign wall-clock once the scan is fast (PR 1).
-This bench measures experiments/sec on a synthetic plan and compares the
-streaming engine (mutants pre-generated serially before the fan-out,
-results appended to ``experiments.jsonl``) against the seed-style inline
-path (each experiment mutates inside its own critical section):
-
-* at parallelism 1 the batched path must not be slower (the same work
-  moved out of the loop, minus repeated parse+match);
-* at parallelism N the engine must beat the serial seed path outright.
+Paper §IV-B dominates campaign wall-clock once the scan is fast.
+This bench measures experiments/sec on a synthetic plan through the
+streaming engine: mutants come from the pipelined producer
+(:meth:`ExperimentExecutor.iter_mutations`) as pool slots free, and
+results are appended to ``experiments.jsonl``.  The experiments are
+latency-bound, so at parallelism N the engine must beat parallelism 1
+outright.
 """
 
 import textwrap
@@ -93,31 +91,27 @@ def build_fixture(tmp_path):
 
 
 def run_engine(image, workload, models, plan, base_dir, parallelism,
-               batched, stream_path=None):
-    """One execution-phase pass; returns (seconds, results-per-sec)."""
+               stream_path=None):
+    """One execution-phase pass; returns its wall-clock seconds."""
     executor = ExperimentExecutor(
         image=image, workload=workload, models=models,
         base_dir=base_dir, trigger=True, campaign_seed=0,
     )
     stream = ExperimentStream(stream_path) if stream_path else None
     started = time.monotonic()
-    mutations = executor.prepare_mutations(plan) if batched else {}
     pool = ExperimentPool(parallelism=parallelism)
 
-    def job_for(planned):
-        def job():
-            return executor.run(
-                planned, mutation=mutations.pop(planned.experiment_id, None)
-            )
-        return job
+    def jobs():
+        for planned, mutation in executor.iter_mutations(plan):
+            yield (lambda p=planned, m=mutation:
+                   executor.run(p, mutation=m))
 
     def on_result(outcome):
         assert outcome.ok, outcome.error
         if stream is not None:
             stream.append(outcome.result)
 
-    outcomes = pool.run((job_for(p) for p in plan), on_result=on_result,
-                        retain_results=False)
+    outcomes = pool.run(jobs(), on_result=on_result, retain_results=False)
     elapsed = time.monotonic() - started
     assert len(outcomes) == len(plan)
     return elapsed
@@ -132,20 +126,15 @@ def test_execution_throughput(benchmark, tmp_path):
         return path
 
     # Warm-up: first sandbox instantiation pays page-cache costs.
-    run_engine(image, workload, models, list(plan)[:1], pass_dir("warm"), 1,
-               batched=True)
+    run_engine(image, workload, models, list(plan)[:1], pass_dir("warm"), 1)
 
-    inline_p1 = run_engine(image, workload, models, plan,
-                           pass_dir("inline-p1"), 1, batched=False)
-    batched_p1 = benchmark.pedantic(
-        lambda: run_engine(image, workload, models, plan,
-                           pass_dir("batched-p1"), 1, batched=True,
+    serial = benchmark.pedantic(
+        lambda: run_engine(image, workload, models, plan, pass_dir("p1"), 1,
                            stream_path=tmp_path / "p1.jsonl"),
         rounds=1, iterations=1,
     )
-    batched_pn = run_engine(image, workload, models, plan,
-                            pass_dir("batched-pn"), PARALLEL, batched=True,
-                            stream_path=tmp_path / "pn.jsonl")
+    parallel = run_engine(image, workload, models, plan, pass_dir("pn"),
+                          PARALLEL, stream_path=tmp_path / "pn.jsonl")
 
     count = len(plan)
     rate = lambda seconds: count / seconds if seconds > 0 else float("inf")
@@ -154,25 +143,16 @@ def test_execution_throughput(benchmark, tmp_path):
     assert len(ExperimentStream(tmp_path / "p1.jsonl").recorded_ids()) == count
     assert len(ExperimentStream(tmp_path / "pn.jsonl").recorded_ids()) == count
 
-    # Batched pre-generation must not lose to the inline seed path at
-    # parallelism 1 (generous margin: each experiment spawns real
-    # subprocesses, so single-run timing is noisy) ...
-    assert batched_p1 <= inline_p1 * 1.35, (
-        f"batched p1 {batched_p1:.2f}s vs inline p1 {inline_p1:.2f}s"
-    )
-    # ... and the engine at parallelism N must beat the serial seed path.
-    assert batched_pn < inline_p1, (
-        f"batched p{PARALLEL} {batched_pn:.2f}s vs inline p1 {inline_p1:.2f}s"
+    # The fan-out overlaps the latency-bound experiments: parallelism N
+    # must beat parallelism 1 through the same producer.
+    assert parallel < serial, (
+        f"p{PARALLEL} {parallel:.2f}s vs p1 {serial:.2f}s"
     )
 
     write_result(
         "execution_engine",
         f"Execution engine throughput ({count} two-round experiments):\n"
-        f"  inline  p1: {inline_p1:.2f} s ({rate(inline_p1):.2f} exp/s) "
-        "[seed-style: mutate inside the critical section]\n"
-        f"  batched p1: {batched_p1:.2f} s ({rate(batched_p1):.2f} exp/s)\n"
-        f"  batched p{PARALLEL}: {batched_pn:.2f} s "
-        f"({rate(batched_pn):.2f} exp/s)\n"
-        f"  speedup p{PARALLEL} vs seed-style serial: "
-        f"{inline_p1 / batched_pn:.1f}x",
+        f"  p1: {serial:.2f} s ({rate(serial):.2f} exp/s)\n"
+        f"  p{PARALLEL}: {parallel:.2f} s ({rate(parallel):.2f} exp/s)\n"
+        f"  speedup p{PARALLEL} vs p1: {serial / parallel:.1f}x",
     )

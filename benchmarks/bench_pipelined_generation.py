@@ -1,17 +1,14 @@
-"""EX2 — pipelined vs batched mutant pre-generation (memory + wall-clock).
+"""EX2 — pipelined mutant generation: peak memory bounded by one group.
 
-The PR 2 engine materialized every mutant of the plan before the fan-out:
-peak memory O(plan × file size).  The pipelined engine generates one
+Materializing every mutant of the plan before the fan-out would cost
+peak memory O(plan × file size).  The pipelined producer generates one
 ``(file, spec)`` group at a time from the job generator while the pool
-executes earlier groups, so peak memory is bounded by the largest group —
-and wall-clock must not regress, because generation overlaps execution.
+executes earlier groups, so peak memory is bounded by the largest group.
 
 Measured here with ``tracemalloc`` (resettable peak, unlike ``ru_maxrss``)
-over a plan of many padded files, each file its own group:
-
-* pipelined peak allocation must stay bounded by a couple of groups, far
-  below the batched path's whole-plan peak;
-* pipelined wall-clock at parallelism 4 must be no slower than batched.
+over a plan of many padded files, each file its own group: the peak
+allocation must stay below a constant number of groups, independent of
+the number of files in the plan.
 """
 
 import textwrap
@@ -102,7 +99,7 @@ def build_fixture(tmp_path):
     return image, workload, models, plan
 
 
-def run_engine(image, workload, models, plan, base_dir, pipelined):
+def run_engine(image, workload, models, plan, base_dir):
     """One execution pass; returns (seconds, tracemalloc peak bytes)."""
     executor = ExperimentExecutor(
         image=image, workload=workload, models=models,
@@ -112,21 +109,13 @@ def run_engine(image, workload, models, plan, base_dir, pipelined):
     tracemalloc.reset_peak()
     baseline, _peak = tracemalloc.get_traced_memory()
     started = time.monotonic()
-    if pipelined:
-        def jobs():
-            for planned, mutation in executor.iter_mutations(plan):
-                yield (lambda p=planned, m=mutation:
-                       executor.run(p, mutation=m))
-        outcomes = pool.run(jobs(), retain_results=False)
-    else:
-        mutations = executor.prepare_mutations(plan)  # the PR 2 batch
 
-        def jobs():
-            for planned in plan:
-                yield (lambda p=planned:
-                       executor.run(p, mutation=mutations.pop(
-                           p.experiment_id, None)))
-        outcomes = pool.run(jobs(), retain_results=False)
+    def jobs():
+        for planned, mutation in executor.iter_mutations(plan):
+            yield (lambda p=planned, m=mutation:
+                   executor.run(p, mutation=m))
+
+    outcomes = pool.run(jobs(), retain_results=False)
     elapsed = time.monotonic() - started
     _size, peak = tracemalloc.get_traced_memory()
     assert len(outcomes) == len(plan)
@@ -146,57 +135,32 @@ def test_pipelined_generation(benchmark, tmp_path):
 
     tracemalloc.start()
     try:
-        # Warm-up: page-cache and import costs land outside the passes.
+        # Warm-up: page-cache and import costs land outside the pass.
         run_engine(image, workload, models, list(plan)[:1],
-                   pass_dir("warm"), pipelined=True)
-
-        batched_seconds, batched_peak = run_engine(
-            image, workload, models, plan, pass_dir("batched"),
-            pipelined=False,
-        )
-        pipelined_seconds, pipelined_peak = benchmark.pedantic(
+                   pass_dir("warm"))
+        seconds, peak = benchmark.pedantic(
             lambda: run_engine(image, workload, models, plan,
-                               pass_dir("pipelined"), pipelined=True),
+                               pass_dir("pipelined")),
             rounds=1, iterations=1,
         )
     finally:
         tracemalloc.stop()
 
     group_bytes = PAD_BYTES  # one (file, spec) group ≈ one padded source
-    # Batched materializes the whole plan's mutants at once...
-    assert batched_peak > group_bytes * (FILES - 2), (
-        f"batched peak {batched_peak} unexpectedly small - "
-        "fixture no longer exercises whole-plan materialization"
-    )
-    # ... while the pipelined producer holds O(one group): the pristine
-    # source, the group being generated, and the PARALLEL in-flight
-    # mutants — a constant independent of FILES (grow the plan and only
-    # the batched peak grows), far below the plan-sized batch.
-    assert pipelined_peak < batched_peak * 0.65, (
-        f"pipelined peak {pipelined_peak} vs batched {batched_peak}"
-    )
-    assert pipelined_peak < group_bytes * (PARALLEL + 8), (
-        f"pipelined peak {pipelined_peak} not bounded by group size"
-    )
-    # Pipelining overlaps generation with execution: no wall-clock
-    # regression at parallelism 4 (generous margin - experiments spawn
-    # real subprocesses, so single-run timing is noisy).
-    assert pipelined_seconds <= batched_seconds * 1.35, (
-        f"pipelined {pipelined_seconds:.2f}s vs "
-        f"batched {batched_seconds:.2f}s"
+    # The producer holds O(one group): the pristine source, the group
+    # being generated, and the PARALLEL in-flight mutants — a constant
+    # independent of FILES, far below the plan's worth of mutants.
+    assert peak < group_bytes * (PARALLEL + 8), (
+        f"pipelined peak {peak} not bounded by group size"
     )
 
     count = len(plan)
     write_result(
         "pipelined_generation",
-        f"Pipelined vs batched mutant generation "
+        f"Pipelined mutant generation "
         f"({count} experiments, parallelism {PARALLEL}, "
         f"{PAD_BYTES // 1024} KiB per source file):\n"
-        f"  batched   : {batched_seconds:.2f} s, "
-        f"peak alloc {batched_peak / 1024:.0f} KiB (whole plan)\n"
-        f"  pipelined : {pipelined_seconds:.2f} s, "
-        f"peak alloc {pipelined_peak / 1024:.0f} KiB "
-        "(bounded by one (file, spec) group)\n"
-        f"  memory ratio: {batched_peak / max(1, pipelined_peak):.1f}x "
-        "lower peak, wall-clock parity",
+        f"  {seconds:.2f} s, peak alloc {peak / 1024:.0f} KiB "
+        f"(bound {group_bytes * (PARALLEL + 8) // 1024} KiB, "
+        f"plan {group_bytes * count // 1024} KiB)",
     )

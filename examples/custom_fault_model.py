@@ -14,10 +14,10 @@ import tempfile
 from pathlib import Path
 
 from repro import FaultModel, parse_spec
-from repro.common.rng import SeededRandom
 from repro.etcdsim import materialize_target
 from repro.orchestrator.plan import Plan
 from repro.scanner.scan import scan_tree
+from repro.stats.sampler import monotone_sample
 
 #: Exception injection on urllib calls, with a per-API exception list
 #: (the $PICK directive chooses one per mutant, deterministically).
@@ -107,7 +107,7 @@ def main() -> None:
         only_throw = only_client.filter(spec_names=["THROW_URLLIB",
                                                     "SLOW_RETURN"])
         print(f"  two fault types only:    {len(only_throw)} experiments")
-        sampled = only_throw.sample(5, SeededRandom(42))
+        sampled = monotone_sample(only_throw, 5, 42)
         print(f"  random sample (seed 42): {len(sampled)} experiments")
         for experiment in sampled:
             point = experiment.point

@@ -30,7 +30,6 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.common.rng import SeededRandom
 from repro.dsl.metamodel import MetaModel
@@ -38,13 +37,13 @@ from repro.mutator.patch import ast_equivalent, patch_mutant
 from repro.mutator.runtime import RUNTIME_ALIAS, RUNTIME_MODULE_NAME
 from repro.mutator.substitute import ReplacementBuilder, runtime_call
 from repro.scanner.cache import MatchMemo
-from repro.scanner.matcher import Match, Matcher, pick_match
+from repro.scanner.matcher import Match
 from repro.scanner.scan import match_source, nth_match
 
 
 @dataclass(frozen=True)
 class MutantRequest:
-    """One batched pre-generation request (see :func:`generate_mutants`).
+    """One mutant to generate (see :func:`generate_mutants`).
 
     ``rng`` must be the experiment's own stream (derived from the campaign
     seed and the experiment id), never a stream shared across requests —
@@ -63,42 +62,31 @@ class MutantRequest:
 def generate_mutants(
     requests: "list[MutantRequest]",
     trigger: bool = True,
-    match_memo: MatchMemo | None = None,
-) -> dict[str, Mutation]:
-    """Serially pre-generate one mutant per request, keyed by ``request.key``.
+) -> "dict[str, Mutation | Exception]":
+    """Generate one mutant per request, keyed by ``request.key``.
 
-    This is the batch phase of the execution engine: mutation happens
-    *before* experiments fan out to the sandbox pool, so the matcher never
-    runs inside the parallel critical section.  Requests are processed
-    grouped by ``(file, spec, ordinal)``, which populates the
-    :class:`MatchMemo` once per ``(source, spec)`` pair — every later
-    ordinal of the group is a pure cache hit, and no memo entry is ever
-    built from two threads at once.
+    The requests are one ``(file, spec)`` group, as the executor's
+    pipelined producer hands them over: they share one fresh
+    :class:`MatchMemo`, so the source is parsed and matched exactly once,
+    and the pristine tree is released with the group.
 
     Each mutant draws only from its request's own RNG stream, so the
-    output is byte-identical regardless of request order or the
-    parallelism of the execution phase that follows.
+    output does not depend on request order.  A request that cannot be
+    mutated (stale ordinal, broken spec) maps to the exception it raised
+    instead of sinking the group; the executor records it as that
+    experiment's ``harness_error``.
     """
-    memo = match_memo if match_memo is not None else MatchMemo()
-    ordered = sorted(
-        enumerate(requests),
-        key=lambda pair: (pair[1].file, pair[1].model.name,
-                          pair[1].ordinal, pair[0]),
-    )
-    mutants: dict[str, Mutation] = {}
-    for _, request in ordered:
+    memo = MatchMemo()
+    mutants: dict[str, Mutation | Exception] = {}
+    for request in requests:
         mutator = Mutator(trigger=trigger, rng=request.rng, match_memo=memo)
         try:
             mutants[request.key] = mutator.mutate_source(
                 request.source, request.model, request.ordinal,
                 fault_id=request.fault_id, file=request.file,
             )
-        except Exception:  # noqa: BLE001 - deferred to the executor
-            # One bad request (stale ordinal, broken spec) must not sink
-            # the batch.  The executor's inline fallback re-raises the
-            # same error inside its per-experiment try/except, recording
-            # a harness_error result for just that experiment.
-            continue
+        except Exception as error:  # noqa: BLE001 - recorded per experiment
+            mutants[request.key] = error
     return mutants
 
 
@@ -129,10 +117,12 @@ class Mutator:
                  verify_patches: bool | None = None) -> None:
         self.trigger = trigger
         self.rng = rng or SeededRandom(0)
-        #: Shared per-batch memo: repeated mutations of the same
+        #: Parsed trees and match lists, shared by every mutation and
+        #: instrumentation of the same source: repeated mutations of one
         #: (file, spec) pair reuse one cached match list instead of
-        #: re-running the backtracking matcher per mutant.
-        self.match_memo = match_memo
+        #: re-running the backtracking matcher.  Private unless given.
+        self.match_memo = (match_memo if match_memo is not None
+                           else MatchMemo())
         #: Materialize mutants by splicing the window's byte span instead
         #: of re-unparsing the whole file (False forces the legacy path).
         self.span_patching = span_patching
@@ -159,12 +149,8 @@ class Mutator:
     ) -> Mutation:
         """Mutate the ``ordinal``-th match of ``model`` in ``source``."""
         fault_id = fault_id or f"{model.name}:{file}:{ordinal}"
-        if self.match_memo is not None:
-            # Shared pristine tree: read-only from here on.
-            tree, match = self.match_memo.peek(source, model, ordinal)
-        else:
-            tree = ast.parse(source)
-            match = self._nth_match_in_tree(tree, model, ordinal)
+        # Shared pristine tree: read-only from here on.
+        tree, match = self.match_memo.peek(source, model, ordinal)
         original_stmts = match.stmts
         original_snippet = "\n".join(
             ast.unparse(stmt) for stmt in original_stmts
@@ -231,14 +217,12 @@ class Mutator:
     ) -> str:
         """Deepcopy + whole-file unparse (the pre-span-patching path).
 
-        With a memo the pristine tree is shared, so a private copy is
-        taken first; without one ``tree`` is already this call's own.
-        ``faulty`` statements are detached copies (the builder never
-        aliases pristine nodes), so splicing them into either tree is
+        The memo's pristine tree is shared, so a private copy is taken
+        first.  ``faulty`` statements are detached copies (the builder
+        never aliases pristine nodes), so splicing them into the copy is
         safe.
         """
-        if self.match_memo is not None:
-            tree, match = self.match_memo.take(source, model, ordinal)
+        tree, match = self.match_memo.take(source, model, ordinal)
         body = getattr(match.owner, match.field)
         if self.trigger:
             guard = ast.If(
@@ -256,21 +240,6 @@ class Mutator:
         ast.fix_missing_locations(tree)
         return ast.unparse(tree) + "\n"
 
-    def mutate_file(
-        self,
-        path: str | Path,
-        model: MetaModel,
-        ordinal: int,
-        fault_id: str | None = None,
-        rel_file: str | None = None,
-    ) -> Mutation:
-        path = Path(path)
-        source = path.read_text(encoding="utf-8")
-        return self.mutate_source(
-            source, model, ordinal,
-            fault_id=fault_id, file=rel_file or path.name,
-        )
-
     # -- coverage instrumentation ----------------------------------------------
 
     def instrument_source(
@@ -282,36 +251,18 @@ class Mutator:
         """Insert coverage probes for each ``(model, ordinal, point_id)``.
 
         The returned source contains no faults: each probe records that the
-        workload reached the corresponding injection point.  With a
-        :class:`MatchMemo` the backtracking matcher runs at most once per
-        distinct spec (the memo's match lists are shared with mutant
-        generation); without one it runs once per model, on a private
-        parse.
+        workload reached the corresponding injection point.  The
+        backtracking matcher runs at most once per distinct spec, and its
+        match lists are shared (through :attr:`match_memo`) with mutant
+        generation.
         """
-        if self.match_memo is not None:
-            tree, windows = self.match_memo.take_windows(
-                source, [(model, ordinal) for model, ordinal, _ in targets]
-            )
-            inserts = [
-                (window.owner, window.field, window.start, point_id)
-                for window, (_, _, point_id) in zip(windows, targets)
-            ]
-        else:
-            tree = ast.parse(source)
-            # One matcher run per model: targets usually carry many
-            # ordinals of the same spec, and every ordinal resolves from
-            # one match list.
-            matches_by_model: dict[int, list[Match]] = {}
-            inserts = []
-            for model, ordinal, point_id in targets:
-                matches = matches_by_model.get(id(model))
-                if matches is None:
-                    matches = Matcher(model).find_matches(tree)
-                    matches_by_model[id(model)] = matches
-                match = pick_match(matches, model.name, ordinal)
-                inserts.append(
-                    (match.owner, match.field, match.start, point_id)
-                )
+        tree, windows = self.match_memo.take_windows(
+            source, [(model, ordinal) for model, ordinal, _ in targets]
+        )
+        inserts = [
+            (window.owner, window.field, window.start, point_id)
+            for window, (_, _, point_id) in zip(windows, targets)
+        ]
         # Insert deepest-position first so earlier indices stay valid.
         grouped: dict[tuple[int, str], list[tuple[int, str]]] = {}
         owners: dict[tuple[int, str], ast.AST] = {}
@@ -331,14 +282,6 @@ class Mutator:
             _insert_runtime_import(tree)
         ast.fix_missing_locations(tree)
         return ast.unparse(tree) + "\n"
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _nth_match_in_tree(tree: ast.Module, model: MetaModel,
-                           ordinal: int) -> Match:
-        return pick_match(Matcher(model).find_matches(tree),
-                          model.name, ordinal)
 
 
 def _insert_runtime_import(tree: ast.Module) -> None:

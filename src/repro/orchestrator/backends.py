@@ -7,8 +7,11 @@ pluggable behind one :class:`ExecutionBackend` protocol, selected via
 
 * :class:`ThreadBackend` (``"thread"``) — the in-process engine: one
   adaptive :class:`~repro.sandbox.pool.ExperimentPool` fed by the
-  pipelined mutant generator (:meth:`ExperimentExecutor.iter_mutations`),
-  streaming results straight into the canonical ``experiments.jsonl``.
+  pipelined mutant generator (:meth:`ExperimentExecutor.iter_mutations`,
+  the only producer of mutants on every backend), streaming results
+  straight into the canonical ``experiments.jsonl``.  A mutant that
+  cannot be generated becomes that one experiment's ``harness_error``,
+  never a failed campaign or a dead shard.
 * :class:`ProcessBackend` (``"process"``) — per-shard worker processes:
   the pending plan is partitioned by the deterministic shard partitioner
   (:func:`repro.orchestrator.plan.shard_index`), each shard runs the same

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from repro.dsl.metamodel import MetaModel
 from repro.mutator.mutate import Mutator
-from repro.scanner.cache import MatchMemo
 from repro.mutator.runtime import COVERAGE_ENV
 from repro.orchestrator.plan import Plan
 from repro.sandbox.image import SandboxImage
@@ -60,9 +59,9 @@ def run_coverage(
     for point in points:
         by_file.setdefault(point.file, []).append(point)
 
-    # The memo shares one parse + one matcher run per (file, spec) across
-    # every point in the file, instead of re-matching per target list.
-    mutator = Mutator(trigger=False, match_memo=MatchMemo())
+    # The mutator's memo shares one parse + one matcher run per
+    # (file, spec) across every point in the file.
+    mutator = Mutator(trigger=False)
     instrumented: dict[str, str] = {}
     for rel_file, file_points in by_file.items():
         source = image.read_file(rel_file)

@@ -17,33 +17,27 @@ Determinism: every stochastic input of an experiment — the mutation RNG
 and the sandbox runtime seed (``SEED_ENV``) — derives from a sha256
 digest of ``(campaign_seed, experiment_id)``.  Results are therefore
 byte-identical across runs, hosts, ``PYTHONHASHSEED`` values, and
-parallelism levels.  Mutants are normally generated *pipelined* via
-:meth:`ExperimentExecutor.iter_mutations`: a single producer emits one
-``(file, spec)`` group at a time, so generation stays serial (the
-``MatchMemo`` guarantee) while the sandbox pool executes earlier groups
-— peak memory is bounded by the largest group, not the plan.
-:meth:`prepare_mutations` materializes the same pipeline for callers
-that want the whole batch up front, and :meth:`run` falls back to
-inline generation with the same per-experiment stream when no pre-built
-mutation is supplied; all three paths are byte-identical.
+parallelism levels.  Every mutant comes from one producer,
+:meth:`ExperimentExecutor.iter_mutations`: it emits one ``(file, spec)``
+group at a time, so generation stays serial (the ``MatchMemo``
+guarantee) while the sandbox pool executes earlier groups — peak memory
+is bounded by the largest group, not the plan.  A mutant that cannot be
+generated (unreadable or undecodable file, unknown spec, stale ordinal)
+is yielded as the exception itself, and :meth:`ExperimentExecutor.run`
+records it as that one experiment's ``harness_error``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.common.rng import SeededRandom, experiment_seed
 from repro.dsl.metamodel import MetaModel
-from repro.mutator.mutate import (
-    MutantRequest,
-    Mutation,
-    Mutator,
-    generate_mutants,
-)
-from repro.scanner.cache import MatchMemo
+from repro.mutator.mutate import MutantRequest, Mutation, generate_mutants
 from repro.mutator.runtime import SEED_ENV, TRIGGER_ENV
 from repro.orchestrator.experiment import (
     STATUS_COMPLETED,
@@ -77,11 +71,6 @@ class ExperimentExecutor:
     #: starts; once it returns true, :meth:`run` declines new experiments
     #: (returning ``None``) so a cancelled campaign drains quickly.
     cancel_check: Callable[[], bool] | None = None
-    #: Memo for the *inline* mutation path in :meth:`run` (fallback when
-    #: no pre-built mutation is supplied).  The pipelined generator uses
-    #: a fresh memo per (file, spec) group instead, so pristine trees
-    #: are released group by group.
-    match_memo: MatchMemo = field(default_factory=MatchMemo)
 
     # -- deterministic derivation ------------------------------------------------
 
@@ -97,110 +86,89 @@ class ExperimentExecutor:
 
     def iter_mutations(
         self, planned: Iterable[PlannedExperiment],
-    ) -> Iterator[tuple[PlannedExperiment, Mutation | None]]:
+    ) -> Iterator[tuple[PlannedExperiment, Mutation | Exception]]:
         """Lazily generate the plan's mutants, one ``(file, spec)`` group
         at a time.
 
-        This is the producer side of the pipelined execution engine: the
-        sandbox pool pulls jobs from this generator as worker slots free,
-        so group N+1 is generated while group N's experiments run.
-        Generation stays on the single consuming thread — the serial
-        :class:`MatchMemo` guarantee of the old whole-plan batch — and
+        This is the producer side of the pipelined execution engine and
+        the only way a mutant is made: the sandbox pool pulls jobs from
+        this generator as worker slots free, so group N+1 is generated
+        while group N's experiments run.  Generation stays on the single
+        consuming thread (the serial :class:`MatchMemo` guarantee), and
         peak memory is bounded by the largest group (one pristine source
         plus its mutants), not by the plan.
 
         Every request draws only from its experiment's own RNG stream
-        (derived from the campaign seed), so the yielded mutants are
-        byte-identical to the whole-plan batch and to inline generation.
-        An experiment whose mutant cannot be generated (unreadable file,
-        stale ordinal) yields ``None``: :meth:`run`'s inline fallback
-        hits the same error and records a ``harness_error`` for just
-        that experiment.
+        (derived from the campaign seed), so the yielded mutants do not
+        depend on plan order.  An experiment whose mutant cannot be
+        generated — the file cannot be read or decoded, the spec is
+        unknown, the ordinal is stale — yields the exception instead of
+        a :class:`Mutation`; :meth:`run` records it as a ``harness_error``
+        for just that experiment, and the rest of the plan proceeds.
         """
-        ordered = sorted(
-            enumerate(planned),
-            key=lambda pair: (pair[1].point.file, pair[1].point.spec_name,
-                              pair[1].point.ordinal, pair[0]),
-        )
+        # sorted() is stable, so ties keep their plan order.
+        ordered = sorted(planned, key=lambda experiment: (
+            experiment.point.file, experiment.point.spec_name,
+            experiment.point.ordinal,
+        ))
         source_file: str | None = None
-        source: str | None = None
-        index = 0
-        while index < len(ordered):
-            point = ordered[index][1].point
-            group = [ordered[index][1]]
-            index += 1
-            while index < len(ordered) and (
-                ordered[index][1].point.file == point.file
-                and ordered[index][1].point.spec_name == point.spec_name
-            ):
-                group.append(ordered[index][1])
-                index += 1
+        source: str | Exception = ""
+        for (file, spec_name), group in groupby(
+            ordered, key=lambda experiment: (experiment.point.file,
+                                             experiment.point.spec_name),
+        ):
+            group = list(group)
             # Groups arrive sorted by file, so caching the previous
-            # file's source is enough to read each file exactly once.
-            if point.file != source_file:
-                source_file = point.file
+            # file's source (or its read error) is enough to read each
+            # file exactly once.
+            if file != source_file:
+                source_file = file
                 try:
-                    source = self.image.read_file(point.file)
-                except OSError:
-                    source = None
-            if source is None:
+                    source = self.image.read_file(file)
+                except Exception as error:  # noqa: BLE001 - per experiment
+                    source = error
+            error = source if isinstance(source, Exception) else None
+            if error is None and spec_name not in self.models:
+                error = KeyError(spec_name)
+            if error is not None:
                 for experiment in group:
-                    yield experiment, None
+                    yield experiment, error
                 continue
             requests = [MutantRequest(
                 key=experiment.experiment_id,
                 source=source,
-                model=self.models[point.spec_name],
+                model=self.models[spec_name],
                 ordinal=experiment.point.ordinal,
                 fault_id=experiment.point.point_id,
                 file=experiment.point.file,
                 rng=self.experiment_rng(experiment.experiment_id),
             ) for experiment in group]
-            # A fresh memo per group: each (file, spec) pair IS one
-            # group, so nothing is ever re-matched — and the group's
-            # pristine tree is released with the group instead of
-            # accumulating for the whole plan (the batched engine's
-            # peak-memory problem in miniature).
-            mutations = generate_mutants(requests, trigger=self.trigger,
-                                         match_memo=MatchMemo())
+            mutations = generate_mutants(requests, trigger=self.trigger)
             for experiment in group:
                 # pop: each mutant is released to its job immediately, so
                 # at most one group's worth is alive at any moment.
-                yield experiment, mutations.pop(experiment.experiment_id,
-                                                None)
-
-    def prepare_mutations(
-        self, planned: Iterable[PlannedExperiment],
-    ) -> dict[str, Mutation]:
-        """Pre-generate every mutant of the plan, keyed by experiment id.
-
-        The materialized form of :meth:`iter_mutations` — same grouping,
-        same per-request RNG streams, byte-identical output — for callers
-        that want the whole batch before fanning out (peak memory is then
-        O(plan), which is why the campaign path pipelines instead).
-        """
-        return {
-            experiment.experiment_id: mutation
-            for experiment, mutation in self.iter_mutations(planned)
-            if mutation is not None
-        }
+                yield experiment, mutations.pop(experiment.experiment_id)
 
     # -- execution ---------------------------------------------------------------
 
     def run(self, planned: PlannedExperiment,
-            mutation: Mutation | None = None) -> ExperimentResult | None:
+            mutation: Mutation | Exception | None = None,
+            ) -> ExperimentResult | None:
         """Execute one experiment end-to-end; never raises for target bugs.
 
-        ``mutation`` is the pre-generated mutant from
-        :meth:`prepare_mutations`; when omitted the mutant is generated
-        inline from the same per-experiment RNG stream, so both paths
-        produce identical results.  Returns ``None`` without running
-        anything when :attr:`cancel_check` reports a cancellation request
-        (the experiment is simply not recorded, so a resumed campaign
+        ``mutation`` is what :meth:`iter_mutations` yielded for
+        ``planned``: its mutant, or the exception generation raised,
+        which is recorded as this experiment's ``harness_error``.  When
+        omitted, the mutant comes from ``iter_mutations([planned])``.
+        Returns ``None`` without running anything when
+        :attr:`cancel_check` reports a cancellation request (the
+        experiment is simply not recorded, so a resumed campaign
         re-plans it).
         """
         if self.cancel_check is not None and self.cancel_check():
             return None
+        if mutation is None:
+            [(_, mutation)] = self.iter_mutations([planned])
         point = planned.point
         result = ExperimentResult(
             experiment_id=planned.experiment_id,
@@ -225,19 +193,10 @@ class ExperimentExecutor:
 
     def _run_inner(self, planned: PlannedExperiment,
                    result: ExperimentResult,
-                   mutation: Mutation | None = None) -> None:
+                   mutation: Mutation | Exception) -> None:
+        if isinstance(mutation, Exception):
+            raise mutation
         point = planned.point
-        if mutation is None:
-            model = self.models[point.spec_name]
-            pristine = self.image.read_file(point.file)
-            mutation = Mutator(
-                trigger=self.trigger,
-                rng=self.experiment_rng(planned.experiment_id),
-                match_memo=self.match_memo,
-            ).mutate_source(
-                pristine, model, point.ordinal,
-                fault_id=point.point_id, file=point.file,
-            )
         result.original_snippet = mutation.original_snippet
         result.mutated_snippet = mutation.mutated_snippet
 

@@ -2,7 +2,8 @@
 
 After the scan, "the user can select a subset of such locations according
 to their needs": filter by component/file/fault type, sample randomly to
-cap the number of experiments, or keep everything.  The resulting
+cap the number of experiments (:func:`repro.stats.sampler.monotone_sample`),
+or keep everything.  The resulting
 :class:`Plan` is the input of the execution phase and can be saved and
 re-imported as JSON.
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.common.fsutil import read_json, write_json
-from repro.common.rng import SeededRandom
 from repro.common.textutil import glob_match
 from repro.scanner.points import InjectionPoint
 
@@ -115,30 +115,6 @@ class Plan:
             return True
 
         return Plan(experiments=[e for e in self.experiments if keep(e)])
-
-    def sample(self, count: int, rng: SeededRandom | None = None) -> "Plan":
-        """Random sample of at most ``count`` experiments (stable order).
-
-        Clamps at the population: ``count >= len(self)`` returns a copy
-        of the whole plan.  The draw is deterministic for a fixed
-        ``rng`` (two calls with ``SeededRandom(s)`` pick the same ids),
-        and the chosen experiments keep their original plan order.
-
-        .. deprecated::
-            Internally superseded by
-            :func:`repro.stats.sampler.monotone_sample`, whose draws
-            are prefix-stable in ``count`` (``sample_n(k)`` is a subset
-            of ``sample_n(k + m)``) so a sampled campaign can later
-            extend toward exhaustive via resume.  This method's draws
-            are *not* monotone in ``count``; ``CampaignConfig.sample``
-            now routes through the monotone sampler.  Kept for direct
-            API users.
-        """
-        if count >= len(self.experiments):
-            return Plan(experiments=list(self.experiments))
-        rng = rng or SeededRandom(0)
-        chosen = rng.sample(range(len(self.experiments)), count)
-        return Plan(experiments=[self.experiments[i] for i in sorted(chosen)])
 
     def excluding(self, experiment_ids: set[str]) -> "Plan":
         """Drop experiments whose id is already recorded (crash-resume).

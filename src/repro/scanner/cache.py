@@ -22,13 +22,14 @@ Two memoizers live here:
   so identical file contents share one entry regardless of path.  The
   in-memory map is LRU-bounded (``max_memory_entries``) so long-lived
   service workers stay bounded too.
-* :class:`MatchMemo` — a per-batch memo of pristine parse trees and their
-  matches, keyed per source content with all per-spec match lists hanging
-  off one shared tree (one parse per file, however many specs).  The
-  span-patching mutant path only needs read access (:meth:`peek`);
-  :meth:`take` still hands out a ``deepcopy``-translated private tree for
-  the fallback path, and :meth:`take_windows` gives the coverage
-  instrumenter every requested window on a single fresh tree.
+* :class:`MatchMemo` — a memo of pristine parse trees and their matches
+  (one per mutant group, or private to a ``Mutator``), keyed per source
+  content with all per-spec match lists hanging off one shared tree
+  (one parse per file, however many specs).  The span-patching mutant
+  path only needs read access (:meth:`peek`); :meth:`take` hands out a
+  ``deepcopy``-translated private tree for the fallback path, and
+  :meth:`take_windows` gives the coverage instrumenter every requested
+  window on a single fresh tree.
 """
 
 from __future__ import annotations
@@ -452,16 +453,6 @@ class MatchMemo:
                   model: MetaModel) -> tuple[ast.Module, list[Match]]:
         entry = self._entry(source)
         return entry.tree, self._matches(entry, model)
-
-    def prime(self, source: str, model: MetaModel) -> int:
-        """Parse and match now, serially, so later takes are cache hits.
-
-        The batched mutant pre-generation calls this implicitly by
-        processing requests grouped per ``(file, spec)``; priming from a
-        single thread removes the duplicated parse+match work that
-        concurrent first-touches would otherwise race to do.
-        """
-        return len(self._pristine(source, model)[1])
 
     def count(self, source: str, model: MetaModel) -> int:
         """Number of matches of ``model`` in ``source`` (memoized)."""

@@ -101,7 +101,7 @@ def monotone_sample(plan: "Plan", count: int, campaign_seed: int,
 
     Returns the chosen experiments in their original plan order (the
     sample decides *membership*, not execution order), clamping at the
-    population like ``Plan.sample``.  For fixed inputs the draw is pure,
+    population.  For fixed inputs the draw is pure,
     and ``monotone_sample(plan, k)`` is a subset of
     ``monotone_sample(plan, k + m)``.
     """

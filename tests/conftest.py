@@ -8,6 +8,14 @@ from repro.dsl.parser import parse_spec
 from repro.faultmodel.model import FaultModel
 from repro.workload.spec import WorkloadSpec
 
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "integration: end-to-end test that spawns processes or live servers",
+    )
+
+
 TOY_APP = textwrap.dedent(
     """
     \"\"\"Toy target application.\"\"\"

@@ -286,10 +286,14 @@ def test_remote_worker_failure_degrades_to_harness_errors(
         payload = dict(payload)
         if not sabotaged:
             sabotaged.append(payload["shard"])
-            # An unknown spec name: the shard engine raises while
-            # generating mutants, after the submit was accepted.
-            payload["fault_model"] = {"name": "toy", "description": "",
-                                      "faults": []}
+            # A fault model that does not compile: the shard engine
+            # raises before its first experiment, after the submit was
+            # accepted.  (An unknown spec name would not: generation
+            # errors are recorded per experiment.)
+            payload["fault_model"] = {
+                "name": "toy", "description": "",
+                "faults": [{"name": "WRR", "dsl": "change {"}],
+            }
         return original_submit(payload)
 
     service.shards.submit = sabotage

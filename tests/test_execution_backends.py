@@ -2,9 +2,9 @@
 
 The tentpole invariants under test:
 
-* pipelined per-``(file, spec)`` mutant generation is byte-identical to
-  the whole-plan batch (and therefore to inline generation) while
-  reading each file once and holding one group at a time;
+* pipelined per-``(file, spec)`` mutant generation reads each file once,
+  holds one group at a time, and turns a mutant it cannot generate into
+  a ``harness_error`` for just that experiment;
 * the same campaign seed yields identical per-experiment ``point``,
   ``mutated_snippet``, and ``seed`` across ``ThreadBackend`` vs
   ``ProcessBackend`` and shard counts {1, 4};
@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.mutator.mutate import Mutation
 from repro.orchestrator.backends import (
     ShardProgress,
     create_backend,
@@ -59,22 +60,6 @@ class TestPipelinedGeneration:
         )
         return executor, plan
 
-    def test_pipelined_equals_batched(self, toy_project, toy_model,
-                                      tmp_path):
-        executor, plan = self.build_executor(toy_project, toy_model,
-                                             tmp_path)
-        batched = executor.prepare_mutations(plan)
-        pipelined = {
-            planned.experiment_id: mutation
-            for planned, mutation in executor.iter_mutations(plan)
-        }
-        assert sorted(pipelined) == sorted(batched)
-        for key, mutation in batched.items():
-            assert pipelined[key].source == mutation.source
-            assert pipelined[key].mutated_snippet == mutation.mutated_snippet
-            assert pipelined[key].original_snippet == \
-                mutation.original_snippet
-
     def test_generation_is_lazy_per_group(self, toy_project, toy_model,
                                           tmp_path):
         # Two injectable files -> two (file, spec) groups.  Consuming
@@ -105,7 +90,7 @@ class TestPipelinedGeneration:
         )
         iterator = executor.iter_mutations(plan)
         first_planned, first_mutation = next(iterator)
-        assert first_mutation is not None
+        assert isinstance(first_mutation, Mutation)
         assert reads == [first_planned.point.file]
         for _planned, _mutation in iterator:
             pass
@@ -114,6 +99,8 @@ class TestPipelinedGeneration:
 
     def test_unreadable_file_yields_none(self, toy_project, toy_model,
                                          tmp_path):
+        # A file that cannot be read yields its error, not a mutant, and
+        # run() records that error for just this experiment.
         from repro.orchestrator.plan import PlannedExperiment
         from repro.scanner.points import InjectionPoint
 
@@ -130,9 +117,16 @@ class TestPipelinedGeneration:
             for planned, mutation in
             executor.iter_mutations(list(plan) + [bogus])
         )
-        assert produced["bad-file"] is None
-        assert all(produced[planned.experiment_id] is not None
+        assert isinstance(produced["bad-file"], FileNotFoundError)
+        assert all(isinstance(produced[planned.experiment_id], Mutation)
                    for planned in plan)
+        result = executor.run(bogus, mutation=produced["bad-file"])
+        assert result.status == "harness_error"
+        missing = executor.image.staging_dir / "missing.py"
+        assert result.error == (
+            "FileNotFoundError: [Errno 2] No such file or directory: "
+            f"'{missing}'"
+        )
 
 
 # -- shard stream bookkeeping ------------------------------------------------------
@@ -458,6 +452,57 @@ class TestBackendDeterminism:
                    for entry in final["shards"])
         done_counts = [s["experiments_done"] for s in snapshots]
         assert done_counts == sorted(done_counts)  # monotone feed
+
+
+class TestGenerationErrors:
+    @pytest.mark.integration
+    def test_undecodable_file_is_a_harness_error_on_every_backend(
+            self, toy_model, toy_workload, tmp_path):
+        # The scanner decodes with errors="replace", so a latin-1 byte
+        # still yields injection points; generating their mutants fails
+        # to decode.  That must cost only those experiments, identically
+        # on every backend — not the campaign (thread) or the whole
+        # shard (process).
+        from conftest import TOY_APP
+
+        project = tmp_path / "target"
+        project.mkdir()
+        (project / "app.py").write_bytes(b"# caf\xe9\n" + TOY_APP.encode())
+        (project / "lib.py").write_text(TOY_APP)
+        (project / "run.py").write_text(
+            "import lib\n"
+            "assert lib.compute(3) == 6\n"
+            "print('WORKLOAD SUCCESS')\n"
+        )
+        projections = {}
+        for backend, shards in (("thread", 1), ("process", 2)):
+            config = CampaignConfig(
+                name="latin1",
+                target_dir=project,
+                fault_model=toy_model,
+                workload=toy_workload,
+                injectable_files=["app.py", "lib.py"],
+                coverage=False,
+                parallelism=2,
+                backend=backend,
+                shards=shards,
+                seed=7,
+                workspace=tmp_path / f"ws-{backend}",
+            )
+            result = Campaign(config).run()
+            by_file = {}
+            for experiment in result.experiments:
+                by_file.setdefault(experiment.point["file"], []).append(
+                    experiment)
+            assert sorted(by_file) == ["app.py", "lib.py"]
+            for experiment in by_file["app.py"]:
+                assert experiment.status == "harness_error"
+                assert experiment.error.startswith("UnicodeDecodeError: ")
+            for experiment in by_file["lib.py"]:
+                assert experiment.status == "completed", experiment.error
+            projections[backend] = _stream_projection(
+                result.experiments_path)
+        assert projections["process"] == projections["thread"]
 
 
 # -- resume across shard boundaries ------------------------------------------------

@@ -2,9 +2,10 @@
 
 The as-a-service premise is that re-running a campaign with the same seed
 reproduces the same experiments exactly.  These tests pin the sha256 seed
-derivation, check that batched pre-generation equals inline mutation,
-and assert byte-identical campaign output across parallelism levels and
-across separate processes with different ``PYTHONHASHSEED`` values (the
+derivation, check that the executor's mutant producer equals a directly
+built ``Mutator`` on the experiment's RNG stream, and assert
+byte-identical campaign output across parallelism levels and across
+separate processes with different ``PYTHONHASHSEED`` values (the
 salted-``hash()`` bug this engine replaced).
 """
 
@@ -20,7 +21,12 @@ import pytest
 
 import repro
 from repro.common.rng import SeededRandom, experiment_seed
-from repro.mutator.mutate import MutantRequest, Mutator, generate_mutants
+from repro.mutator.mutate import (
+    MutantRequest,
+    Mutation,
+    Mutator,
+    generate_mutants,
+)
 from repro.orchestrator.campaign import Campaign, CampaignConfig
 from repro.orchestrator.executor import ExperimentExecutor
 from repro.orchestrator.plan import Plan
@@ -72,11 +78,14 @@ class TestBatchedPreGeneration:
 
     def test_batch_equals_inline(self, toy_project, toy_model, tmp_path):
         executor, plan = self.fixture_bits(toy_project, toy_model, tmp_path)
-        batched = executor.prepare_mutations(plan)
-        assert sorted(batched) == [e.experiment_id for e in plan]
+        produced = {
+            planned.experiment_id: mutation
+            for planned, mutation in executor.iter_mutations(plan)
+        }
+        assert sorted(produced) == [e.experiment_id for e in plan]
         source = (toy_project / "app.py").read_text()
         for planned in plan:
-            inline = Mutator(
+            direct = Mutator(
                 trigger=True,
                 rng=executor.experiment_rng(planned.experiment_id),
             ).mutate_source(
@@ -84,25 +93,28 @@ class TestBatchedPreGeneration:
                 planned.point.ordinal, fault_id=planned.point.point_id,
                 file=planned.point.file,
             )
-            pre = batched[planned.experiment_id]
-            assert pre.source == inline.source
-            assert pre.mutated_snippet == inline.mutated_snippet
-            assert pre.original_snippet == inline.original_snippet
+            pre = produced[planned.experiment_id]
+            assert pre.source == direct.source
+            assert pre.mutated_snippet == direct.mutated_snippet
+            assert pre.original_snippet == direct.original_snippet
 
     def test_request_order_does_not_matter(self, toy_project, toy_model,
                                            tmp_path):
         executor, plan = self.fixture_bits(toy_project, toy_model, tmp_path)
-        forward = executor.prepare_mutations(list(plan))
-        backward = executor.prepare_mutations(list(plan)[::-1])
-        for key, mutation in forward.items():
-            assert backward[key].source == mutation.source
-            assert backward[key].mutated_snippet == mutation.mutated_snippet
+        forward = dict(executor.iter_mutations(list(plan)))
+        backward = dict(executor.iter_mutations(list(plan)[::-1]))
+        assert forward.keys() == backward.keys()
+        for planned, mutation in forward.items():
+            assert backward[planned].source == mutation.source
+            assert backward[planned].mutated_snippet == \
+                mutation.mutated_snippet
 
     def test_bad_request_skipped_not_fatal(self, toy_project, toy_model,
                                            tmp_path):
         # One unmutatable point (stale ordinal / missing file) must not
-        # sink the batch: the others still pre-generate, and the broken
-        # one is left to the executor's per-experiment error capture.
+        # sink the plan: the others still generate, and each broken one
+        # yields its error, which run() records as that experiment's
+        # harness_error.
         from repro.orchestrator.plan import PlannedExperiment
         from repro.scanner.points import InjectionPoint
 
@@ -121,8 +133,24 @@ class TestBatchedPreGeneration:
                                      snippet="", component="missing"),
             ),
         ]
-        mutations = executor.prepare_mutations(list(plan) + bogus)
-        assert sorted(mutations) == [e.experiment_id for e in plan]
+        produced = dict(executor.iter_mutations(list(plan) + bogus))
+        for planned in plan:
+            assert isinstance(produced[planned], Mutation)
+        missing = executor.image.staging_dir / "missing.py"
+        expected = {
+            "bad-ordinal": "IndexError: spec 'WRR' has 2 matches, "
+                           "ordinal 99 requested",
+            "bad-file": "FileNotFoundError: [Errno 2] No such file or "
+                        f"directory: '{missing}'",
+        }
+        for planned in bogus:
+            assert isinstance(produced[planned], Exception)
+            result = executor.run(planned, mutation=produced[planned])
+            assert result.status == "harness_error"
+            assert result.error == expected[planned.experiment_id]
+            # Without a supplied mutation, run() asks the same producer.
+            assert executor.run(planned).error == \
+                expected[planned.experiment_id]
 
     def test_generate_mutants_uses_request_stream_only(self, toy_project,
                                                        toy_model):

@@ -3,9 +3,9 @@ persistence."""
 
 import pytest
 
-from repro.common.rng import SeededRandom
 from repro.orchestrator.plan import Plan, PlannedExperiment, shard_index
 from repro.scanner.points import InjectionPoint, component_of
+from repro.stats.sampler import monotone_sample
 
 
 def make_point(spec="MFC", file="pkg/mod.py", ordinal=0, line=1):
@@ -60,16 +60,16 @@ class TestSelection:
                                components=["pkg"])) == 1
 
     def test_sample_deterministic(self, plan):
-        first = plan.sample(2, SeededRandom(7)).point_ids()
-        second = plan.sample(2, SeededRandom(7)).point_ids()
+        first = monotone_sample(plan, 2, 7).point_ids()
+        second = monotone_sample(plan, 2, 7).point_ids()
         assert first == second
         assert len(first) == 2
 
     def test_sample_larger_than_plan(self, plan):
-        assert len(plan.sample(100)) == 4
+        assert len(monotone_sample(plan, 100, 0)) == 4
 
     def test_sample_preserves_order(self, plan):
-        sampled = plan.sample(3, SeededRandom(1))
+        sampled = monotone_sample(plan, 3, 1)
         ids = [e.experiment_id for e in sampled]
         assert ids == sorted(ids)
 

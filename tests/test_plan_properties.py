@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.common.rng import SeededRandom
 from repro.orchestrator.plan import Plan, PlannedExperiment, shard_index
 from repro.scanner.points import InjectionPoint
 from repro.stats.sampler import (
@@ -223,30 +222,6 @@ def test_stratified_sample_never_starves_a_populated_stratum(
     # with population is represented.
     sampled = monotone_sample(plan, len(populated), seed, stratify_by=key)
     assert {stratum_key(e, key) for e in sampled.experiments} == populated
-
-
-# -- Plan.sample (legacy RNG draw) regression ------------------------------------
-
-
-class TestLegacyPlanSample:
-    IDS = [f"exp-{index:04d}" for index in range(10)]
-
-    def test_count_equal_to_population_returns_all(self):
-        plan = _plan(self.IDS)
-        assert _ids(plan.sample(len(self.IDS))) == set(self.IDS)
-
-    def test_count_above_population_clamps(self):
-        plan = _plan(self.IDS)
-        sampled = plan.sample(len(self.IDS) + 25)
-        assert [e.experiment_id for e in sampled.experiments] == self.IDS
-
-    def test_deterministic_under_fixed_seeded_random(self):
-        plan = _plan(self.IDS)
-        first = plan.sample(4, SeededRandom(42))
-        second = plan.sample(4, SeededRandom(42))
-        assert [e.experiment_id for e in first.experiments] == \
-            [e.experiment_id for e in second.experiments]
-        assert len(first.experiments) == 4
 
 
 def test_balance_within_statistical_bounds():
