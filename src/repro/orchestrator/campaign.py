@@ -278,6 +278,10 @@ class Campaign:
         self.models = {
             model.name: model for model in config.fault_model.compile()
         }
+        #: Shared by the scan and the coverage pre-run, so one
+        #: ``stats()`` counts both.
+        self.scan_cache = (ScanCache(config.scan_cache_dir)
+                           if config.scan_cache_dir is not None else None)
 
     # -- scan phase --------------------------------------------------------------
 
@@ -302,8 +306,6 @@ class Campaign:
             paths = sorted(iter_python_files(config.target_dir))
         else:
             paths = [config.target_dir / rel for rel in files]
-        cache = (ScanCache(config.scan_cache_dir)
-                 if config.scan_cache_dir is not None else None)
         # Specs and models derive from the same compiled set, so the
         # serial and parallel paths scan an identical faultload (and
         # produce identical cache digests).
@@ -313,7 +315,7 @@ class Campaign:
             [model.spec for model in models],
             root=config.target_dir,
             jobs=config.scan_jobs or 1,
-            cache=cache,
+            cache=self.scan_cache,
             models=models,
             incremental=config.scan_incremental,
         )
@@ -335,6 +337,9 @@ class Campaign:
         over the *whole* plan, plus per-shard states) as the execution
         backend advances — the feed the service layer persists for
         ``/v1/jobs/{id}``.
+
+        A coverage pre-run whose services fail to start raises
+        ``RuntimeError`` instead of reducing the plan to nothing.
         """
         config = self.config
         owns_workspace = config.workspace is None
@@ -400,12 +405,21 @@ class Campaign:
                 coverage_started = time.monotonic()
                 report = run_coverage(
                     image, config.workload, plan.points, self.models,
-                    workspace / "sandboxes",
+                    workspace / "sandboxes", cache=self.scan_cache,
                 )
                 result.coverage_seconds = (
                     time.monotonic() - coverage_started
                 )
                 result.coverage = report
+                if report.error:
+                    # Reducing by an empty covered set would "complete"
+                    # a campaign that injected nothing.
+                    raise RuntimeError(
+                        f"coverage pre-run failed: {report.error}"
+                    )
+                if report.reused:
+                    say(f"[{config.name}] coverage reused "
+                        f"(key {report.key[:12]})")
                 plan = reduce_plan(plan, report)
             result.population = len(plan)
             sampling = config.sampling

@@ -5,10 +5,19 @@ Before executing experiments, ProFIPy runs the workload once against an
 probe and no fault.  Points whose probe never fires are dropped from the
 plan — "injecting into non-covered paths causes a waste of time since the
 fault would not cause any effect".
+
+The pre-run is content-addressed: its covered set is stored in the
+campaign's :class:`~repro.scanner.cache.ScanCache` under
+:func:`coverage_key`, a digest of the exact program and driver it
+executes, so a re-campaign over an unchanged image starts no sandbox.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +26,8 @@ from repro.mutator.mutate import Mutator
 from repro.mutator.runtime import COVERAGE_ENV
 from repro.orchestrator.plan import Plan
 from repro.sandbox.image import SandboxImage
-from repro.sandbox.sandbox import Sandbox
+from repro.sandbox.sandbox import _INHERITED_ENV, Sandbox
+from repro.scanner.cache import ScanCache
 from repro.scanner.points import InjectionPoint
 from repro.workload.runner import ServiceStartError, run_round, start_services
 from repro.workload.spec import WorkloadSpec
@@ -33,6 +43,10 @@ class CoverageReport:
     total: int = 0
     workload_failed: bool = False
     error: str = ""
+    #: In-process only (never serialized): whether the covered set was
+    #: served from the scan cache, and the key it is stored under.
+    reused: bool = field(default=False, compare=False)
+    key: str = field(default="", compare=False)
 
     @property
     def covered_count(self) -> int:
@@ -43,6 +57,36 @@ class CoverageReport:
         return self.covered_count / self.total if self.total else 0.0
 
 
+def coverage_key(image: SandboxImage, instrumented: dict[str, str],
+                 point_ids: "set[str]", workload: WorkloadSpec) -> str:
+    """sha256 over everything the pre-run executes.
+
+    That is the built image (runtime module and containerfile effects
+    included) with each instrumented file in place of the pristine one,
+    the instrumented point ids, the workload, the interpreter, and the
+    host environment the sandbox inherits.
+    """
+    # Lazy: the service package imports orchestrator modules.
+    from repro.service.blobs import ImageManifest, blob_digest
+
+    manifest = ImageManifest.from_image(image)
+    for rel_file, source in instrumented.items():
+        data = source.encode("utf-8")
+        manifest.entries[rel_file] = {
+            **manifest.entries.get(rel_file, {}),
+            "digest": blob_digest(data),
+            "size": len(data),
+        }
+    canonical = json.dumps({
+        "image": manifest.tree_digest,
+        "points": sorted(point_ids),
+        "workload": workload.to_dict(),
+        "python": [sys.executable, sys.version],
+        "env": {name: os.environ.get(name) for name in _INHERITED_ENV},
+    }, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def run_coverage(
     image: SandboxImage,
     workload: WorkloadSpec,
@@ -50,8 +94,14 @@ def run_coverage(
     models: dict[str, MetaModel],
     base_dir: str | Path,
     name: str = "coverage",
+    cache: ScanCache | None = None,
 ) -> CoverageReport:
-    """Instrument every point, run the workload once, read the probes."""
+    """Instrument every point, run the workload once, read the probes.
+
+    With a ``cache``, a covered set stored under the same
+    :func:`coverage_key` is returned without starting a sandbox; a fresh
+    run is stored only when the workload started and passed.
+    """
     report = CoverageReport(total=len(points))
     if not points:
         return report
@@ -72,6 +122,14 @@ def run_coverage(
         instrumented[rel_file] = mutator.instrument_source(
             source, targets, file=rel_file
         )
+    known = {point.point_id for point in points}
+    if cache is not None:
+        report.key = coverage_key(image, instrumented, known, workload)
+        entry = cache.lookup_coverage(report.key)
+        if entry is not None:
+            report.covered = set(entry["covered"]) & known
+            report.reused = True
+            return report
 
     with Sandbox.create(image, base_dir, name) as sandbox:
         coverage_path = sandbox.path(COVERAGE_FILE)
@@ -89,10 +147,11 @@ def run_coverage(
             content = coverage_path.read_text(encoding="utf-8")
         except OSError:
             content = ""
-    known = {point.point_id for point in points}
     report.covered = {
         line.strip() for line in content.splitlines() if line.strip()
     } & known
+    if cache is not None and not report.workload_failed:
+        cache.store_coverage(report.key, report.covered)
     return report
 
 

@@ -21,7 +21,10 @@ Two memoizers live here:
   only file-independent match data (spec, ordinal, line span, snippet),
   so identical file contents share one entry regardless of path.  The
   in-memory map is LRU-bounded (``max_memory_entries``) so long-lived
-  service workers stay bounded too.
+  service workers stay bounded too.  The same directory holds
+  **coverage entries** (``coverage-<key>.json``): the covered set of a
+  fault-free pre-run, keyed by the exact program and driver it executed
+  (``orchestrator/coverage.py::coverage_key``).
 * :class:`MatchMemo` — a memo of pristine parse trees and their matches
   (one per mutant group, or private to a ``Mutator``), keyed per source
   content with all per-spec match lists hanging off one shared tree
@@ -90,6 +93,9 @@ CACHE_FORMAT_VERSION = 1
 #: per-file entry version it nests).
 TREE_FORMAT_VERSION = 1
 
+#: Bump when the coverage entry schema changes.
+COVERAGE_FORMAT_VERSION = 1
+
 _ROW_KEYS = {"spec_name", "ordinal", "lineno", "end_lineno", "snippet"}
 
 _STAT_KEYS = {"size", "mtime_ns", "sha"}
@@ -124,6 +130,17 @@ def _valid_tree_entry(entry) -> bool:
     )
 
 
+def _valid_coverage_entry(entry) -> bool:
+    if not isinstance(entry, dict):
+        return False
+    if entry.get("version") != COVERAGE_FORMAT_VERSION:
+        return False
+    covered = entry.get("covered")
+    return isinstance(covered, list) and all(
+        isinstance(point_id, str) for point_id in covered
+    )
+
+
 def _valid_stat_manifest(entry) -> bool:
     if not isinstance(entry, dict):
         return False
@@ -155,7 +172,8 @@ class ScanCache:
     whole-tree hit counts once per file it serves); ``tree_hits``/
     ``tree_misses`` count tree-manifest consultations; ``files_read`` and
     ``stat_hits`` count how many files a scan actually read versus
-    recognized as unchanged from a single ``stat``.
+    recognized as unchanged from a single ``stat``; ``coverage_hits``/
+    ``coverage_misses`` count coverage pre-run lookups.
     """
 
     def __init__(self, cache_dir: str | Path | None = None,
@@ -174,6 +192,8 @@ class ScanCache:
         self.tree_misses = 0
         self.files_read = 0
         self.stat_hits = 0
+        self.coverage_hits = 0
+        self.coverage_misses = 0
         self._prune_disk()
 
     def _entry_path(self, source_sha: str, load_digest: str) -> Path:
@@ -183,6 +203,10 @@ class ScanCache:
     def _tree_path(self, tree_digest: str, load_digest: str) -> Path:
         assert self.cache_dir is not None
         return self.cache_dir / f"tree-{load_digest[:16]}-{tree_digest}.json"
+
+    def _coverage_path(self, key: str) -> Path:
+        assert self.cache_dir is not None
+        return self.cache_dir / f"coverage-{key}.json"
 
     def _stat_path(self, root_key: str) -> Path:
         assert self.cache_dir is not None
@@ -222,80 +246,81 @@ class ScanCache:
             while len(store) > cap:
                 store.popitem(last=False)
 
+    @staticmethod
+    def _read(path: Path, valid) -> dict | None:
+        """The disk entry at ``path``; missing, malformed or old-version
+        entries are misses.  A hit's mtime is refreshed, so pruning is
+        LRU, not FIFO: hot entries survive the ``max_disk_entries`` cap."""
+        if not path.exists():
+            return None
+        try:
+            entry = read_json(path)
+        except (OSError, ValueError):
+            return None
+        if not valid(entry):
+            return None
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        return entry
+
+    def _load(self, memory: OrderedDict, key, path: Path | None,
+              valid, cap: int | None = None) -> dict | None:
+        """Memory first, then :meth:`_read`; a disk hit is remembered."""
+        with self._lock:
+            entry = memory.get(key)
+            if entry is not None:
+                memory.move_to_end(key)
+        if entry is None and path is not None:
+            entry = self._read(path, valid)
+            if entry is not None:
+                self._remember(memory, key, entry, cap)
+        return entry
+
+    @staticmethod
+    def _persist(path: Path, entry: dict) -> None:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_json(path, entry)
+        except OSError:
+            pass  # persistence is best-effort
+
+    def _count(self, entry: dict | None, hit: str,
+               miss: str) -> dict | None:
+        """Bump the ``hit`` or ``miss`` counter for ``entry``."""
+        name = miss if entry is None else hit
+        with self._lock:
+            setattr(self, name, getattr(self, name) + 1)
+        return entry
+
     # -- per-file entries -------------------------------------------------------
 
     def lookup(self, source_sha: str, load_digest: str) -> dict | None:
         """Cached entry ``{"matches": [...], "error": str|None}`` or None."""
-        key = (source_sha, load_digest)
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-        if entry is None and self.cache_dir is not None:
-            path = self._entry_path(source_sha, load_digest)
-            if path.exists():
-                try:
-                    entry = read_json(path)
-                except (OSError, ValueError):
-                    entry = None
-                if entry is not None and not _valid_entry(entry):
-                    entry = None
-                if entry is not None:
-                    self._remember(self._memory, key, entry)
-                    try:
-                        # Refresh recency so pruning is LRU, not FIFO:
-                        # hot entries survive the max_disk_entries cap.
-                        os.utime(path)
-                    except OSError:
-                        pass
-        with self._lock:
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return entry
+        path = (self._entry_path(source_sha, load_digest)
+                if self.cache_dir is not None else None)
+        return self._count(self._load(
+            self._memory, (source_sha, load_digest), path, _valid_entry,
+        ), "hits", "misses")
 
     def store(self, source_sha: str, load_digest: str, entry: dict) -> None:
         entry = {**entry, "version": CACHE_FORMAT_VERSION}
         self._remember(self._memory, (source_sha, load_digest), entry)
         if self.cache_dir is not None:
-            try:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-                write_json(self._entry_path(source_sha, load_digest), entry)
-            except OSError:
-                pass  # persistence is best-effort; memory entry stands
+            self._persist(self._entry_path(source_sha, load_digest), entry)
 
     # -- tree manifests ---------------------------------------------------------
 
     def lookup_tree(self, tree_digest: str,
                     load_digest: str) -> dict | None:
         """Whole-tree entry ``{"files": {rel: per-file entry}}`` or None."""
-        key = (tree_digest, load_digest)
-        with self._lock:
-            entry = self._tree_memory.get(key)
-            if entry is not None:
-                self._tree_memory.move_to_end(key)
-        if entry is None and self.cache_dir is not None:
-            path = self._tree_path(tree_digest, load_digest)
-            if path.exists():
-                try:
-                    entry = read_json(path)
-                except (OSError, ValueError):
-                    entry = None
-                if entry is not None and not _valid_tree_entry(entry):
-                    entry = None
-                if entry is not None:
-                    self._remember(self._tree_memory, key, entry, cap=16)
-                    try:
-                        os.utime(path)
-                    except OSError:
-                        pass
-        with self._lock:
-            if entry is None:
-                self.tree_misses += 1
-            else:
-                self.tree_hits += 1
-        return entry
+        path = (self._tree_path(tree_digest, load_digest)
+                if self.cache_dir is not None else None)
+        return self._count(self._load(
+            self._tree_memory, (tree_digest, load_digest), path,
+            _valid_tree_entry, cap=16,
+        ), "tree_hits", "tree_misses")
 
     def store_tree(self, tree_digest: str, load_digest: str,
                    files: "dict[str, dict]") -> None:
@@ -307,11 +332,26 @@ class ScanCache:
         self._remember(self._tree_memory, (tree_digest, load_digest), entry,
                        cap=16)
         if self.cache_dir is not None:
-            try:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-                write_json(self._tree_path(tree_digest, load_digest), entry)
-            except OSError:
-                pass
+            self._persist(self._tree_path(tree_digest, load_digest), entry)
+
+    # -- coverage entries -------------------------------------------------------
+
+    def lookup_coverage(self, key: str) -> dict | None:
+        """Covered set ``{"covered": [point ids]}`` stored under a
+        coverage pre-run key, or None.  Only a persistent cache
+        reuses covered sets: without ``cache_dir`` this is always a miss."""
+        entry = None
+        if self.cache_dir is not None:
+            entry = self._read(self._coverage_path(key),
+                               _valid_coverage_entry)
+        return self._count(entry, "coverage_hits", "coverage_misses")
+
+    def store_coverage(self, key: str, covered: "set[str]") -> None:
+        if self.cache_dir is not None:
+            self._persist(self._coverage_path(key), {
+                "version": COVERAGE_FORMAT_VERSION,
+                "covered": sorted(covered),
+            })
 
     # -- stat manifests ---------------------------------------------------------
 
@@ -344,14 +384,10 @@ class ScanCache:
         with self._lock:
             self._stat_memory[root_key] = dict(manifest)
         if self.cache_dir is not None:
-            try:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-                write_json(self._stat_path(root_key), {
-                    "version": CACHE_FORMAT_VERSION,
-                    "files": manifest,
-                })
-            except OSError:
-                pass
+            self._persist(self._stat_path(root_key), {
+                "version": CACHE_FORMAT_VERSION,
+                "files": manifest,
+            })
 
     # -- counters ---------------------------------------------------------------
 
@@ -378,6 +414,8 @@ class ScanCache:
                 "tree_misses": self.tree_misses,
                 "files_read": self.files_read,
                 "stat_hits": self.stat_hits,
+                "coverage_hits": self.coverage_hits,
+                "coverage_misses": self.coverage_misses,
             }
 
 
