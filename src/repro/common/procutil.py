@@ -117,24 +117,25 @@ def spawn_background(
 
 
 def kill_process_group(proc: subprocess.Popen, grace: float = 2.0) -> None:
-    """Terminate ``proc``'s whole process group, escalating to SIGKILL."""
-    if proc.poll() is not None:
-        return
+    """Kill ``proc``'s whole process group: SIGTERM, up to ``grace``
+    seconds for the leader to exit, then SIGKILL for whatever is left.
+
+    The SIGKILL is unconditional: a member that ignores SIGTERM outlives
+    its leader, and teardown must not leak it.  ``proc`` was started in
+    its own session, so its pid is the group id (which stays valid
+    while any member lives, even after the leader is reaped).
+    """
+    if proc.poll() is None:
+        try:
+            os.killpg(proc.pid, signal.SIGTERM)
+        except (ProcessLookupError, PermissionError):
+            pass
+        try:
+            proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            pass
     try:
-        pgid = os.getpgid(proc.pid)
-    except (ProcessLookupError, PermissionError):
-        return
-    try:
-        os.killpg(pgid, signal.SIGTERM)
-    except (ProcessLookupError, PermissionError):
-        return
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            return
-        time.sleep(0.05)
-    try:
-        os.killpg(pgid, signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
     proc.wait()

@@ -33,7 +33,12 @@ from repro.orchestrator.backends import (
     recover_shard_streams,
     validate_backend_name,
 )
-from repro.orchestrator.coverage import CoverageReport, reduce_plan, run_coverage
+from repro.orchestrator.coverage import (
+    CoverageReport,
+    durations_key,
+    reduce_plan,
+    run_coverage,
+)
 from repro.orchestrator.executor import ExperimentExecutor
 from repro.orchestrator.experiment import ExperimentResult
 from repro.orchestrator.plan import Plan
@@ -495,6 +500,10 @@ class Campaign:
                 artifacts = workspace / "artifacts"
                 artifacts.mkdir(parents=True, exist_ok=True)
                 result.artifacts_dir = artifacts
+            # Where per-point durations are read from and recorded.
+            dispatch_key = (durations_key(image, config.workload,
+                                          config.rounds, config.trigger)
+                            if self.scan_cache is not None else None)
             executor = ExperimentExecutor(
                 image=image,
                 workload=config.workload,
@@ -527,6 +536,21 @@ class Campaign:
                         if user_cancel is not None and user_cancel():
                             return True
                         return check()
+
+            # Longest-expected-first dispatch keeps the slowest
+            # experiments from starting last.  A stopping rule reads the
+            # stream as it grows, so its order stays the plan's; process
+            # and remote shards generate in plan order too.
+            if (dispatch_key is not None and monitor is None
+                    and config.backend == BACKEND_THREAD):
+                recorded_durations = self.scan_cache.lookup_durations(
+                    dispatch_key)
+                if recorded_durations is not None:
+                    executor.expected_seconds = (
+                        recorded_durations["durations"])
+                    say(f"[{config.name}] dispatch longest-first from "
+                        f"{len(executor.expected_seconds)} recorded "
+                        f"durations (key {dispatch_key[:12]})")
 
             say(f"[{config.name}] executing {len(pending)} experiments "
                 f"({config.backend} backend, {config.shards} shard(s), "
@@ -581,6 +605,9 @@ class Campaign:
             outcome = backend.execute(context, pending_list, stream)
             result.execution_seconds = time.monotonic() - execution_started
             result.experiments_path = stream.path
+            if dispatch_key is not None:
+                self.scan_cache.store_durations(dispatch_key,
+                                                stream.durations())
             user_cancelled = cancel is not None and cancel()
             if monitor is not None:
                 result.mode_estimates = monitor.summary_block()

@@ -10,6 +10,8 @@ The pre-run is content-addressed: its covered set is stored in the
 campaign's :class:`~repro.scanner.cache.ScanCache` under
 :func:`coverage_key`, a digest of the exact program and driver it
 executes, so a re-campaign over an unchanged image starts no sandbox.
+The same digest routine keys the per-point experiment durations that
+order a re-campaign's dispatch (:func:`durations_key`).
 """
 
 from __future__ import annotations
@@ -57,20 +59,18 @@ class CoverageReport:
         return self.covered_count / self.total if self.total else 0.0
 
 
-def coverage_key(image: SandboxImage, instrumented: dict[str, str],
-                 point_ids: "set[str]", workload: WorkloadSpec) -> str:
-    """sha256 over everything the pre-run executes.
-
-    That is the built image (runtime module and containerfile effects
-    included) with each instrumented file in place of the pristine one,
-    the instrumented point ids, the workload, the interpreter, and the
-    host environment the sandbox inherits.
-    """
+def _run_key(image: SandboxImage, workload: WorkloadSpec,
+             instrumented: "dict[str, str] | None" = None,
+             **fields) -> str:
+    """sha256 over an image run: the built image (runtime module and
+    containerfile effects included) with each ``instrumented`` file in
+    place of the pristine one, the workload, the interpreter, the host
+    environment the sandbox inherits, and the extra ``fields``."""
     # Lazy: the service package imports orchestrator modules.
     from repro.service.blobs import ImageManifest, blob_digest
 
     manifest = ImageManifest.from_image(image)
-    for rel_file, source in instrumented.items():
+    for rel_file, source in (instrumented or {}).items():
         data = source.encode("utf-8")
         manifest.entries[rel_file] = {
             **manifest.entries.get(rel_file, {}),
@@ -78,13 +78,31 @@ def coverage_key(image: SandboxImage, instrumented: dict[str, str],
             "size": len(data),
         }
     canonical = json.dumps({
+        **fields,
         "image": manifest.tree_digest,
-        "points": sorted(point_ids),
         "workload": workload.to_dict(),
         "python": [sys.executable, sys.version],
         "env": {name: os.environ.get(name) for name in _INHERITED_ENV},
     }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def coverage_key(image: SandboxImage, instrumented: dict[str, str],
+                 point_ids: "set[str]", workload: WorkloadSpec) -> str:
+    """sha256 over everything the pre-run executes: the instrumented
+    image, the instrumented point ids, the workload, the interpreter,
+    and the inherited host environment."""
+    return _run_key(image, workload, instrumented,
+                    points=sorted(point_ids))
+
+
+def durations_key(image: SandboxImage, workload: WorkloadSpec,
+                  rounds: int, trigger: bool) -> str:
+    """sha256 over what decides how long an experiment takes: the
+    pristine image, the workload, the round count, the trigger, the
+    interpreter, and the inherited host environment.  The campaign seed
+    is left out: it does not make a point fast or slow."""
+    return _run_key(image, workload, rounds=rounds, trigger=trigger)
 
 
 def run_coverage(

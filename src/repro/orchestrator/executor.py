@@ -24,13 +24,17 @@ guarantee) while the sandbox pool executes earlier groups — peak memory
 is bounded by the largest group, not the plan.  A mutant that cannot be
 generated (unreadable or undecodable file, unknown spec, stale ordinal)
 is yielded as the exception itself, and :meth:`ExperimentExecutor.run`
-records it as that one experiment's ``harness_error``.
+records it as that one experiment's ``harness_error``.  Groups are
+dispatched longest-expected-first when
+:attr:`ExperimentExecutor.expected_seconds` holds recorded durations, so
+the slowest experiments do not start last; order never changes results.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -71,6 +75,10 @@ class ExperimentExecutor:
     #: starts; once it returns true, :meth:`run` declines new experiments
     #: (returning ``None``) so a cancelled campaign drains quickly.
     cancel_check: Callable[[], bool] | None = None
+    #: In-process only: recorded seconds per injection point id, from
+    #: which :meth:`iter_mutations` dispatches longest-expected-first.
+    #: Empty means plan order.
+    expected_seconds: dict[str, float] = field(default_factory=dict)
 
     # -- deterministic derivation ------------------------------------------------
 
@@ -83,6 +91,36 @@ class ExperimentExecutor:
         return experiment_seed(self.campaign_seed, experiment_id)
 
     # -- pipelined mutant generation ----------------------------------------------
+
+    def dispatch_order(
+        self, planned: Iterable[PlannedExperiment],
+    ) -> list[PlannedExperiment]:
+        """``planned`` in the order :meth:`iter_mutations` generates it.
+
+        The base order is ``(file, spec, ordinal)``.  With
+        :attr:`expected_seconds`, ``(file, spec)`` groups come longest
+        expected member first, and members longest first within their
+        group; a point with no recorded duration is expected to take the
+        median of the recorded ones, and ties keep the base order.
+        Groups stay contiguous, so each still gets one ``MatchMemo``.
+        """
+        # sorted() is stable, so ties keep their plan order.
+        ordered = sorted(planned, key=lambda experiment: (
+            experiment.point.file, experiment.point.spec_name,
+            experiment.point.ordinal,
+        ))
+        if not self.expected_seconds:
+            return ordered
+        fallback = statistics.median(self.expected_seconds.values())
+
+        def slowest_first(experiment: PlannedExperiment) -> float:
+            return -self.expected_seconds.get(experiment.point.point_id,
+                                              fallback)
+
+        groups = [sorted(group, key=slowest_first)
+                  for _, group in groupby(ordered, key=_group_key)]
+        groups.sort(key=lambda group: slowest_first(group[0]))
+        return [experiment for group in groups for experiment in group]
 
     def iter_mutations(
         self, planned: Iterable[PlannedExperiment],
@@ -106,21 +144,14 @@ class ExperimentExecutor:
         a :class:`Mutation`; :meth:`run` records it as a ``harness_error``
         for just that experiment, and the rest of the plan proceeds.
         """
-        # sorted() is stable, so ties keep their plan order.
-        ordered = sorted(planned, key=lambda experiment: (
-            experiment.point.file, experiment.point.spec_name,
-            experiment.point.ordinal,
-        ))
         source_file: str | None = None
         source: str | Exception = ""
         for (file, spec_name), group in groupby(
-            ordered, key=lambda experiment: (experiment.point.file,
-                                             experiment.point.spec_name),
+            self.dispatch_order(planned), key=_group_key,
         ):
             group = list(group)
-            # Groups arrive sorted by file, so caching the previous
-            # file's source (or its read error) is enough to read each
-            # file exactly once.
+            # Consecutive groups of one file share its source (or its
+            # read error); only a longest-first order re-reads a file.
             if file != source_file:
                 source_file = file
                 try:
@@ -239,3 +270,8 @@ class ExperimentExecutor:
             result.error = str(error)
         result.duration = time.monotonic() - started
         return result
+
+
+def _group_key(experiment: PlannedExperiment) -> tuple[str, str]:
+    """The ``(file, spec)`` group an experiment's mutant is made in."""
+    return experiment.point.file, experiment.point.spec_name

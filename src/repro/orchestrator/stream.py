@@ -154,6 +154,17 @@ class ExperimentStream:
             if entry.get("status") != STATUS_HARNESS_ERROR
         }
 
+    def durations(self) -> dict[str, float]:
+        """Seconds per injection point id of every recorded experiment,
+        harness errors excepted: their duration measures the harness,
+        not the point (the input of longest-expected-first dispatch)."""
+        return {
+            entry["fault_id"]: entry["duration"]
+            for entry in self._latest_entries().values()
+            if entry.get("status") != STATUS_HARNESS_ERROR
+            and entry.get("fault_id")
+        }
+
     def canonical_bytes(self) -> bytes:
         """The stream's deterministic byte form: one sorted-key JSON line
         per experiment id, sorted by id, meta and superseded records

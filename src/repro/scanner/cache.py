@@ -24,7 +24,11 @@ Two memoizers live here:
   service workers stay bounded too.  The same directory holds
   **coverage entries** (``coverage-<key>.json``): the covered set of a
   fault-free pre-run, keyed by the exact program and driver it executed
-  (``orchestrator/coverage.py::coverage_key``).
+  (``orchestrator/coverage.py::coverage_key``), and **durations
+  entries** (``durations-<key>.json``): the seconds each injection point's
+  experiment took, keyed by the pristine image and the run parameters
+  (``orchestrator/coverage.py::durations_key``), from which a
+  re-campaign orders dispatch longest-expected-first.
 * :class:`MatchMemo` — a memo of pristine parse trees and their matches
   (one per mutant group, or private to a ``Mutator``), keyed per source
   content with all per-spec match lists hanging off one shared tree
@@ -41,6 +45,7 @@ import ast
 import copy
 import hashlib
 import json
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -96,6 +101,9 @@ TREE_FORMAT_VERSION = 1
 #: Bump when the coverage entry schema changes.
 COVERAGE_FORMAT_VERSION = 1
 
+#: Bump when the durations entry schema changes.
+DURATIONS_FORMAT_VERSION = 1
+
 _ROW_KEYS = {"spec_name", "ordinal", "lineno", "end_lineno", "snippet"}
 
 _STAT_KEYS = {"size", "mtime_ns", "sha"}
@@ -141,6 +149,19 @@ def _valid_coverage_entry(entry) -> bool:
     )
 
 
+def _valid_durations_entry(entry) -> bool:
+    if not isinstance(entry, dict):
+        return False
+    if entry.get("version") != DURATIONS_FORMAT_VERSION:
+        return False
+    durations = entry.get("durations")
+    return isinstance(durations, dict) and all(
+        isinstance(point_id, str) and isinstance(seconds, (int, float))
+        and not isinstance(seconds, bool) and 0 <= seconds < math.inf
+        for point_id, seconds in durations.items()
+    )
+
+
 def _valid_stat_manifest(entry) -> bool:
     if not isinstance(entry, dict):
         return False
@@ -173,7 +194,8 @@ class ScanCache:
     ``tree_misses`` count tree-manifest consultations; ``files_read`` and
     ``stat_hits`` count how many files a scan actually read versus
     recognized as unchanged from a single ``stat``; ``coverage_hits``/
-    ``coverage_misses`` count coverage pre-run lookups.
+    ``coverage_misses`` and ``durations_hits``/``durations_misses`` count
+    coverage pre-run and dispatch-duration lookups.
     """
 
     def __init__(self, cache_dir: str | Path | None = None,
@@ -194,6 +216,8 @@ class ScanCache:
         self.stat_hits = 0
         self.coverage_hits = 0
         self.coverage_misses = 0
+        self.durations_hits = 0
+        self.durations_misses = 0
         self._prune_disk()
 
     def _entry_path(self, source_sha: str, load_digest: str) -> Path:
@@ -204,9 +228,9 @@ class ScanCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"tree-{load_digest[:16]}-{tree_digest}.json"
 
-    def _coverage_path(self, key: str) -> Path:
+    def _keyed_path(self, kind: str, key: str) -> Path:
         assert self.cache_dir is not None
-        return self.cache_dir / f"coverage-{key}.json"
+        return self.cache_dir / f"{kind}-{key}.json"
 
     def _stat_path(self, root_key: str) -> Path:
         assert self.cache_dir is not None
@@ -336,22 +360,48 @@ class ScanCache:
 
     # -- coverage entries -------------------------------------------------------
 
-    def lookup_coverage(self, key: str) -> dict | None:
-        """Covered set ``{"covered": [point ids]}`` stored under a
-        coverage pre-run key, or None.  Only a persistent cache
-        reuses covered sets: without ``cache_dir`` this is always a miss."""
+    def _lookup_keyed(self, kind: str, key: str, valid) -> dict | None:
+        """The ``<kind>-<key>.json`` entry, counted as a ``<kind>_hits``
+        or ``<kind>_misses``.  Only a persistent cache holds these
+        entries: without ``cache_dir`` this is always a miss."""
         entry = None
         if self.cache_dir is not None:
-            entry = self._read(self._coverage_path(key),
-                               _valid_coverage_entry)
-        return self._count(entry, "coverage_hits", "coverage_misses")
+            entry = self._read(self._keyed_path(kind, key), valid)
+        return self._count(entry, f"{kind}_hits", f"{kind}_misses")
+
+    def lookup_coverage(self, key: str) -> dict | None:
+        """Covered set ``{"covered": [point ids]}`` stored under a
+        coverage pre-run key, or None."""
+        return self._lookup_keyed("coverage", key, _valid_coverage_entry)
 
     def store_coverage(self, key: str, covered: "set[str]") -> None:
         if self.cache_dir is not None:
-            self._persist(self._coverage_path(key), {
+            self._persist(self._keyed_path("coverage", key), {
                 "version": COVERAGE_FORMAT_VERSION,
                 "covered": sorted(covered),
             })
+
+    # -- durations entries ------------------------------------------------------
+
+    def lookup_durations(self, key: str) -> dict | None:
+        """Recorded ``{"durations": {point id: seconds}}`` under a
+        durations key, or None."""
+        return self._lookup_keyed("durations", key, _valid_durations_entry)
+
+    def store_durations(self, key: str,
+                        durations: "dict[str, float]") -> None:
+        """Merge ``durations`` over the entry stored under ``key`` (the
+        newer value wins per point).  Two campaigns storing at once may
+        drop each other's points; durations only order dispatch."""
+        if self.cache_dir is None or not durations:
+            return
+        path = self._keyed_path("durations", key)
+        previous = self._read(path, _valid_durations_entry)
+        self._persist(path, {
+            "version": DURATIONS_FORMAT_VERSION,
+            "durations": {**(previous or {}).get("durations", {}),
+                          **durations},
+        })
 
     # -- stat manifests ---------------------------------------------------------
 
@@ -416,6 +466,8 @@ class ScanCache:
                 "stat_hits": self.stat_hits,
                 "coverage_hits": self.coverage_hits,
                 "coverage_misses": self.coverage_misses,
+                "durations_hits": self.durations_hits,
+                "durations_misses": self.durations_misses,
             }
 
 

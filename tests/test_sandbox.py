@@ -1,5 +1,7 @@
 """Tests for the sandbox substrate: images, sandboxes, limits, pool."""
 
+import os
+import signal
 import threading
 import time
 
@@ -110,6 +112,32 @@ class TestSandbox:
         assert not service.alive()
         assert not sandbox.root.exists()
 
+    def test_destroy_kills_group_member_that_ignores_sigterm(
+            self, image, tmp_path):
+        # The shell leader dies on SIGTERM; its child ignores SIGTERM and
+        # must still not outlive the sandbox.
+        sandbox = Sandbox.create(image, tmp_path / "boxes", "exp-4b")
+        sandbox.start_service(
+            "{python} -c 'import os, signal, time; "
+            "signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+            "open(\"member.pid\", \"w\").write(str(os.getpid())); "
+            "time.sleep(30)' & wait"
+        )
+        assert sandbox.wait_for_file("member.pid")
+        pid = int(sandbox.read_file("member.pid"))
+        try:
+            sandbox.destroy()
+            deadline = time.monotonic() + 1.0
+            while _process_state(pid) not in (None, "Z"):
+                assert time.monotonic() < deadline, \
+                    f"group member {pid} survived teardown"
+                time.sleep(0.01)
+        finally:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
     def test_service_logs_collected(self, image, tmp_path):
         with Sandbox.create(image, tmp_path / "boxes", "exp-5") as sandbox:
             sandbox.start_service("echo serving; echo oops >&2")
@@ -143,6 +171,16 @@ class TestSandbox:
         sandbox = Sandbox.create(image, tmp_path / "boxes", "exp-10")
         sandbox.destroy()
         sandbox.destroy()
+
+
+def _process_state(pid):
+    """The state letter from ``/proc/<pid>/stat``, or None when gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
 
 
 class TestLimits:
