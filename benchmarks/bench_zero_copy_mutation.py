@@ -1,12 +1,15 @@
 """Zero-copy mutant materialization: span patching vs whole-tree unparse.
 
-The legacy mutant path deep-copies the whole module AST and re-unparses
+The whole-tree path (inlined below as the baseline, the way mutants were
+made before the splicer) deep-copies the whole module AST and re-unparses
 every line of the file per mutant; span patching splices only the
 mutated window (plus the runtime import) into the pristine source.  On a
 large module the per-mutant cost must drop by at least 3x — that gap is
 what makes statistical campaigns with thousands of mutants affordable.
 """
 
+import ast
+import copy
 import time
 
 from conftest import write_result
@@ -14,6 +17,8 @@ from conftest import write_result
 from repro.common.rng import SeededRandom
 from repro.faultmodel.library import extended_model, gswfit_model
 from repro.mutator.mutate import Mutator
+from repro.mutator.runtime import RUNTIME_ALIAS, RUNTIME_MODULE_NAME
+from repro.mutator.substitute import ReplacementBuilder, runtime_call
 from repro.scanner.cache import MatchMemo
 from repro.synth import SynthConfig, generate_codebase
 
@@ -47,6 +52,46 @@ def materialize_all(mutator, source, targets):
         mutator.mutate_source(source, model, ordinal, file="big.py")
 
 
+def whole_tree_mutant(memo, rng, source, model, ordinal):
+    """A trigger mutant the whole-tree way: the same snippets and RNG
+    draws as ``Mutator.mutate_source``, then a deepcopy of the module,
+    the guard spliced into the copy, and a whole-file ``ast.unparse``."""
+    fault_id = f"{model.name}:big.py:{ordinal}"
+    _lines, tree, match = memo.peek(source, model, ordinal)
+    original_snippet = "\n".join(ast.unparse(stmt) for stmt in match.stmts)
+    faulty = ReplacementBuilder(model, match,
+                                rng=rng.derive(fault_id)).build()
+    mutated_snippet = "\n".join(ast.unparse(ast.fix_missing_locations(stmt))
+                                for stmt in faulty)
+    node_map = {}
+    fresh = copy.deepcopy(tree, node_map)
+    body = getattr(node_map[id(match.owner)], match.field)
+    body[match.start:match.end] = [ast.If(
+        test=runtime_call("enabled", [ast.Constant(fault_id)]),
+        body=faulty or [ast.Pass()],
+        orelse=body[match.start:match.end],
+    )]
+    head = fresh.body[0]
+    index = int(isinstance(head, ast.Expr)
+                and isinstance(head.value, ast.Constant)
+                and isinstance(head.value.value, str))
+    while index < len(fresh.body) and isinstance(
+        fresh.body[index], ast.ImportFrom
+    ) and fresh.body[index].module == "__future__":
+        index += 1
+    fresh.body.insert(index, ast.Import(names=[
+        ast.alias(name=RUNTIME_MODULE_NAME, asname=RUNTIME_ALIAS)
+    ]))
+    ast.fix_missing_locations(fresh)
+    return ast.unparse(fresh) + "\n", original_snippet, mutated_snippet
+
+
+def whole_tree_all(memo, source, targets):
+    rng = SeededRandom(5)
+    for model, ordinal in targets:
+        whole_tree_mutant(memo, rng, source, model, ordinal)
+
+
 def test_span_patching_speedup(benchmark, tmp_path):
     source = build_large_module(tmp_path)
     models = gswfit_model().compile() + extended_model().compile()
@@ -55,28 +100,25 @@ def test_span_patching_speedup(benchmark, tmp_path):
     assert len(targets) >= 30  # the corpus must exercise the patcher
 
     span = Mutator(trigger=True, rng=SeededRandom(5), match_memo=memo)
-    legacy = Mutator(trigger=True, rng=SeededRandom(5),
-                     match_memo=memo, span_patching=False)
 
     # Warm the memo so both paths pay zero matching cost in the timed
     # region: the measured difference is pure materialization.
     materialize_all(span, source, targets)
-    materialize_all(legacy, source, targets)
+    whole_tree_all(memo, source, targets)
 
-    def best_of(mutator, rounds=3):
+    def best_of(run, rounds=3):
         best = float("inf")
         for _ in range(rounds):
             started = time.monotonic()
-            materialize_all(mutator, source, targets)
+            run()
             best = min(best, time.monotonic() - started)
         return best
 
-    legacy_time = best_of(legacy)
-    span_time = best_of(span)
+    legacy_time = best_of(lambda: whole_tree_all(memo, source, targets))
+    span_time = best_of(lambda: materialize_all(span, source, targets))
 
     benchmark(materialize_all, span, source, targets)
 
-    assert span.patch_stats["fallback"] < span.patch_stats["patched"]
     speedup = legacy_time / max(span_time, 1e-9)
     assert speedup >= MIN_SPEEDUP, (
         f"span patching is only {speedup:.1f}x faster than whole-tree "

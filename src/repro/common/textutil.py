@@ -1,10 +1,12 @@
-"""Text helpers: glob matching for DSL name patterns, dedenting, truncation."""
+"""Text helpers: glob matching for DSL name patterns, dedenting, truncation,
+and the line table that maps ``ast`` positions to source offsets."""
 
 from __future__ import annotations
 
 import fnmatch
 import re
 import textwrap
+from array import array
 
 
 def glob_match(pattern: str, value: str) -> bool:
@@ -76,3 +78,51 @@ def truncate(text: str, limit: int = 200) -> str:
 def indent_lines(text: str, prefix: str = "    ") -> str:
     """Indent every non-empty line of ``text`` by ``prefix``."""
     return textwrap.indent(text, prefix, lambda line: bool(line.strip()))
+
+
+#: The line breaks the tokenizer counts, so the ones ``ast`` line numbers
+#: count.  ``str.splitlines`` also breaks at ``\f``, ``\x85``,
+#: ``\u2028`` and other characters that are legal inside comments,
+#: strings and blank lines, and so miscounts lines.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+class SourceLines:
+    """One source plus the offset where each of its lines starts.
+
+    Maps ``ast`` positions (1-based lines, UTF-8 *byte* columns) to
+    offsets into :attr:`source` without copying it line by line.
+    """
+
+    __slots__ = ("source", "starts", "_ascii")
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        #: ``starts[n - 1]`` is the offset of line ``n``.
+        self.starts = array("q", [0])
+        self.starts.extend(match.end()
+                           for match in _LINE_BREAK.finditer(source))
+        self._ascii = source.isascii()
+
+    def next_line(self, lineno: int) -> int:
+        """Offset just past line ``lineno``'s line break."""
+        return (self.starts[lineno] if lineno < len(self.starts)
+                else len(self.source))
+
+    def offset(self, lineno: int, col: int) -> int:
+        """Offset of UTF-8 byte column ``col`` on line ``lineno``."""
+        start = self.starts[lineno - 1]
+        if self._ascii:
+            return start + col
+        line = self.source[start:self.next_line(lineno)]
+        return start + len(line.encode("utf-8")[:col].decode("utf-8"))
+
+    def continues_previous(self, lineno: int) -> bool:
+        """True if the line before ``lineno`` ends in a backslash, so the
+        two are one logical line."""
+        if lineno < 2:
+            return False
+        end = self.starts[lineno - 1] - 1  # the line break before lineno
+        if self.source[end] == "\n" and self.source[end - 1:end] == "\r":
+            end -= 1
+        return self.source[end - 1:end] == "\\"

@@ -1,52 +1,55 @@
-"""Span-based mutant materialization: splice bytes, don't re-emit files.
+"""Span-based materialization: splice text, don't re-emit files.
 
-The legacy mutant path deepcopies the pristine parse tree and re-unparses
-the *entire* file per mutant, even though only a few statements change.
-This module materializes the mutant by source patching instead: the
-matched statement window's byte span is computed from the pristine tree's
-position info (``lineno``/``col_offset`` pairs are UTF-8 *byte* offsets),
-the replacement (trigger guard or faulty statements) is unparsed alone,
-re-indented to the window's indentation, and spliced into the original
-bytes — plus a second zero-width splice for the runtime-import line.
+Every mutant and every coverage-instrumented source is made here, by one
+splicer.  A change is an *edit* of one statement list of the pristine
+parse tree: replace ``body[start:end]`` with new statements (a mutant's
+trigger guard or faulty code), or insert before ``body[start]`` (a
+coverage probe, the runtime import).  The pristine tree's positions
+(1-based lines, UTF-8 byte columns, mapped to offsets by the source's
+:class:`~repro.common.textutil.SourceLines`) give the edit's text span;
+only the statements in that span are unparsed, re-indented to their
+original indentation, and spliced in.  Everything outside the spans —
+comments, blank lines, string quoting, formatting — stays byte-for-byte.
 
-Soundness over cleverness: :func:`patch_mutant` returns ``None`` whenever
-the window cannot be patched provably safely — same-line compound
-statements (``if x: y()``), ``;``-joined statements, ``elif`` windows
-(whose source token differs from their AST rendering), decorated
-definitions, import insertion points that would reorder statements — and
-the caller falls back to the deepcopy+unparse path.  Every successful
-patch is parse-checked; the AST-equivalence oracle
-(:func:`ast_equivalent`) lets callers and the test suite assert that both
-paths produce semantically identical mutants.
+An edit whose span does not hold whole lines is *widened* until it does:
 
-Everything *outside* the patched spans — comments, blank lines, string
-quoting, formatting — is preserved byte-for-byte, which the legacy
-whole-file unparse never could.
+* to the run of sibling statements sharing its lines (``a = 1; f()``,
+  or a statement continued from the line before with a backslash);
+* then to the enclosing statement, when the run shares a line with its
+  compound header (``if x: f()``) or is an ``elif`` arm (whose ``If``
+  node unparses as ``if``);
+* a decorated definition's span starts at its first decorator;
+* at the outermost level, to the whole module.
+
+Widened statements are deep-copied (only their subtree) before the edits
+are applied, so the shared pristine tree is never mutated.  Overlapping
+spans merge.  Every spliced source is re-parsed; a failure raises
+:class:`SpliceError`, which the executor records as that experiment's
+``harness_error``.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
+import io
+import tokenize
+from dataclasses import dataclass
 
+from repro.common.textutil import SourceLines
 from repro.mutator.runtime import RUNTIME_ALIAS, RUNTIME_MODULE_NAME
 from repro.mutator.substitute import runtime_call
 from repro.scanner.matcher import Match
 
-RUNTIME_IMPORT_LINE = f"import {RUNTIME_MODULE_NAME} as {RUNTIME_ALIAS}\n"
+_BLANK = " \t\f"  # the tokenizer's whitespace between tokens
 
 
-def ast_equivalent(source_a: str, source_b: str) -> bool:
-    """True iff the two sources parse to structurally identical trees.
-
-    Positions and formatting are ignored (``ast.dump`` drops attributes),
-    so a span-patched mutant and a whole-file-unparsed mutant compare
-    equal exactly when they are the same program.
-    """
-    return ast.dump(ast.parse(source_a)) == ast.dump(ast.parse(source_b))
+class SpliceError(ValueError):
+    """A spliced source failed to parse."""
 
 
 def patch_mutant(
-    source: str,
+    lines: SourceLines,
     tree: ast.Module,
     match: Match,
     faulty: list[ast.stmt],
@@ -54,110 +57,16 @@ def patch_mutant(
     trigger: bool,
     fault_id: str,
     needs_runtime: bool,
-) -> str | None:
-    """Splice the mutant for ``match`` into ``source``, or ``None``.
+) -> str:
+    """The source of the mutant that puts ``faulty`` at ``match``.
 
-    ``tree`` and ``match`` are the *pristine* parse tree and its match —
-    nothing here mutates either, so memoized trees may be shared freely.
-    ``faulty`` is the already-built replacement statement list (the RNG
-    draws happened in the caller, once, so patch and fallback see the
-    same stream).  A ``None`` return means "fall back to deepcopy+
-    unparse"; it is never an error.
+    ``lines`` and ``tree`` are the pristine source and its parse tree,
+    ``match`` a window in that tree; none of them is mutated, so
+    memoized trees may be shared freely.  ``faulty`` is the
+    already-built replacement (the RNG draws happened in the caller).
+    In trigger mode the window becomes ``if __pfp_rt__.enabled(fault_id):
+    <faulty> else: <original>``.
     """
-    stmts = match.stmts
-    if not stmts:
-        return None  # zero-width window: nowhere to splice
-    span = _window_span(source, stmts)
-    if span is None:
-        return None
-    start_line, start_col, end_line, end_col, lines = span
-
-    start_bytes = lines[start_line - 1].encode("utf-8")
-    prefix = start_bytes[:start_col]
-    if prefix.strip():
-        # The window shares its first line with other code (`if x: y()`,
-        # `a = 1; y()`): a textual splice cannot preserve the head.
-        return None
-    if start_bytes[start_col:start_col + 4] == b"elif":
-        # An elif clause's AST (a nested If) unparses as `if ...`, which
-        # would detach the branch from its chain.  Only the legacy path
-        # re-emits the surrounding chain correctly.
-        return None
-    tail = lines[end_line - 1].encode("utf-8")[end_col:].decode("utf-8")
-    stripped_tail = tail.strip()
-    if stripped_tail and not stripped_tail.startswith("#"):
-        return None  # `; more()` or a same-line suite follows the window
-
-    insert_line = None
-    if needs_runtime and not _has_runtime_import(tree):
-        insert_line = _runtime_import_line(tree, len(lines))
-        if insert_line is None or insert_line > start_line:
-            # No provably safe zero-width insertion point before the
-            # window (e.g. the window itself spans the import slot).
-            return None
-
-    replacement = _render_window(match, faulty, trigger, fault_id,
-                                 indent=prefix.decode("utf-8"))
-    window_text = prefix.decode("utf-8") + replacement + tail
-    if not replacement and not window_text.strip():
-        # Pure deletion of the whole line(s): drop them entirely rather
-        # than leaving stray whitespace lines behind.
-        window_text = ""
-
-    patched_lines = list(lines)
-    patched_lines[start_line - 1:end_line] = (
-        [window_text] if window_text else []
-    )
-    if insert_line is not None:
-        index = insert_line - 1
-        if index >= len(patched_lines):
-            if patched_lines and not patched_lines[-1].endswith("\n"):
-                patched_lines[-1] += "\n"
-            patched_lines.append(RUNTIME_IMPORT_LINE)
-        else:
-            patched_lines.insert(index, RUNTIME_IMPORT_LINE)
-    patched = "".join(patched_lines)
-    try:
-        ast.parse(patched)
-    except (SyntaxError, ValueError):
-        return None  # exotic layout survived the checks; fall back
-    return patched
-
-
-# -- span computation -----------------------------------------------------------
-
-
-def _window_span(
-    source: str, stmts: list[ast.stmt],
-) -> tuple[int, int, int, int, list[str]] | None:
-    """``(start_line, start_col, end_line, end_col, lines)`` or None.
-
-    Lines are 1-based; columns are UTF-8 byte offsets (the ``ast``
-    convention).  Returns None when positions are missing or the window
-    starts on a decorated definition (decorator lines sit *above* the
-    statement's recorded position, so the span would exclude them).
-    """
-    first, last = stmts[0], stmts[-1]
-    if getattr(first, "decorator_list", None):
-        return None
-    start_line = getattr(first, "lineno", None)
-    start_col = getattr(first, "col_offset", None)
-    end_line = getattr(last, "end_lineno", None)
-    end_col = getattr(last, "end_col_offset", None)
-    if None in (start_line, start_col, end_line, end_col):
-        return None
-    lines = source.splitlines(keepends=True)
-    if not (1 <= start_line <= end_line <= len(lines)):
-        return None
-    return start_line, start_col, end_line, end_col, lines
-
-
-# -- replacement rendering ------------------------------------------------------
-
-
-def _render_window(match: Match, faulty: list[ast.stmt], trigger: bool,
-                   fault_id: str, indent: str) -> str:
-    """The replacement text for the window, re-indented to ``indent``."""
     if trigger:
         stmts: list[ast.stmt] = [ast.If(
             test=runtime_call("enabled", [ast.Constant(fault_id)]),
@@ -166,77 +75,329 @@ def _render_window(match: Match, faulty: list[ast.stmt], trigger: bool,
         )]
     else:
         stmts = list(faulty)
-        if not stmts and _covers_whole_list(match):
+        body = getattr(match.owner, match.field)
+        if not stmts and match.start == 0 and match.end >= len(body):
             stmts = [ast.Pass()]  # an emptied suite still needs a body
-    if not stmts:
-        return ""
-    rendered: list[str] = []
-    for stmt in stmts:
-        # unparse needs location attributes on 3.11 (type-comment lookup);
-        # synthetic guard nodes have none, real nodes keep theirs.
-        ast.fix_missing_locations(stmt)
-        rendered.append(ast.unparse(stmt))
-    text = "\n".join(rendered)
-    lines = text.split("\n")
-    # First line splices after the window's own indentation; every later
-    # line (including unparse's blank separators, left empty) re-indents.
-    return "\n".join(
-        [lines[0]] + [indent + line if line else line for line in lines[1:]]
+    edit = _Edit(match.owner, match.field, match.start, match.end, stmts)
+    return _Splicer(lines, tree).run([edit], needs_runtime)
+
+
+def insert_probes(lines: SourceLines, tree: ast.Module,
+                  windows: "list[tuple[Match, str]]") -> str:
+    """The source with a ``__pfp_rt__.cover(point_id)`` statement before
+    each ``(window, point_id)``; probes at one position run in
+    ``point_id`` order."""
+    slots: dict[tuple[int, str, int], tuple[Match, list[str]]] = {}
+    for match, point_id in windows:
+        key = (id(match.owner), match.field, match.start)
+        slots.setdefault(key, (match, []))[1].append(point_id)
+    edits = [
+        _Edit(match.owner, match.field, match.start, match.start, [
+            ast.Expr(value=runtime_call("cover", [ast.Constant(point_id)]))
+            for point_id in sorted(point_ids)
+        ])
+        for match, point_ids in slots.values()
+    ]
+    return _Splicer(lines, tree).run(edits, runtime=True)
+
+
+@dataclass(eq=False)
+class _Edit:
+    """``getattr(owner, field)[start:end] = stmts`` on the pristine tree."""
+
+    owner: ast.AST
+    field: str
+    start: int
+    end: int
+    stmts: list[ast.stmt]
+
+
+@dataclass(eq=False)
+class _Region:
+    """The text span ``[start, end)`` that statements ``body[i:j]`` of
+    ``owner.field`` occupy, and the edits rendered into it.  ``i == j``
+    is an insertion before ``body[i]`` (or at the end of the module)."""
+
+    start: int
+    end: int
+    owner: ast.AST
+    field: str
+    i: int
+    j: int
+    edits: list[_Edit]
+    #: Re-render the whole module: no narrower span holds whole lines.
+    whole: bool = False
+
+
+class _Splicer:
+    def __init__(self, lines: SourceLines, tree: ast.Module) -> None:
+        self.lines = lines
+        self.source = lines.source
+        self.tree = tree
+        self._parents: dict[int, tuple[ast.AST, str, int]] | None = None
+
+    def run(self, edits: list[_Edit], runtime: bool) -> str:
+        if runtime:
+            self._add_runtime_import(edits)
+        regions = sorted((self._region(edit) for edit in edits),
+                         key=lambda region: (region.start, region.end))
+        pieces: list[str] = []
+        position = 0
+        for region in _merge(regions):
+            start, end, text = self._render(region)
+            pieces += (self.source[position:start], text)
+            position = end
+        pieces.append(self.source[position:])
+        patched = "".join(pieces)
+        del pieces  # only the patched source is live during the check
+        try:
+            ast.parse(patched)
+        except (SyntaxError, ValueError) as error:
+            raise SpliceError(f"spliced source does not parse: {error}") \
+                from error
+        return patched
+
+    # -- positions -------------------------------------------------------------
+
+    def _start(self, stmt: ast.stmt) -> int:
+        decorators = getattr(stmt, "decorator_list", None)
+        if decorators:
+            first = decorators[0]
+            return self.source.rfind(
+                "@", 0, self.lines.offset(first.lineno, first.col_offset))
+        return self.lines.offset(stmt.lineno, stmt.col_offset)
+
+    def _first_line(self, stmt: ast.stmt) -> int:
+        decorators = getattr(stmt, "decorator_list", None)
+        return decorators[0].lineno if decorators else stmt.lineno
+
+    def _end(self, stmt: ast.stmt) -> int:
+        return self.lines.offset(stmt.end_lineno, stmt.end_col_offset)
+
+    def _indent(self, stmt: ast.stmt) -> str:
+        return self.source[
+            self.lines.starts[self._first_line(stmt) - 1]:self._start(stmt)]
+
+    def _starts_line(self, stmt: ast.stmt) -> bool:
+        """Nothing but indentation precedes ``stmt`` on its logical line."""
+        return (not self._indent(stmt).strip(_BLANK)
+                and not self.lines.continues_previous(self._first_line(stmt)))
+
+    def _tail(self, stmt: ast.stmt) -> str:
+        """What follows ``stmt`` on its last line, line break excluded."""
+        return self.source[
+            self._end(stmt):self.lines.next_line(stmt.end_lineno)
+        ].rstrip("\r\n")
+
+    def _ends_line(self, stmt: ast.stmt) -> bool:
+        """Nothing but a comment follows ``stmt`` on its line."""
+        tail = self._tail(stmt).strip(_BLANK)
+        return not tail or tail.startswith("#")
+
+    def _is_elif(self, owner: ast.AST, field_name: str, index: int) -> bool:
+        return (isinstance(owner, ast.If) and field_name == "orelse"
+                and index == 0 and isinstance(owner.orelse[0], ast.If)
+                and self.source.startswith("elif",
+                                           self._start(owner.orelse[0])))
+
+    # -- widening --------------------------------------------------------------
+
+    def _region(self, edit: _Edit) -> _Region:
+        owner, field_name, i, j = edit.owner, edit.field, edit.start, edit.end
+        while True:
+            body = getattr(owner, field_name)
+            if i == j == len(body) and owner is self.tree:
+                end = len(self.source)
+                return _Region(end, end, owner, field_name, i, j, [edit])
+            if i == j < len(body):
+                if (self._starts_line(body[i])
+                        and not self._is_elif(owner, field_name, i)):
+                    start = self._start(body[i])
+                    return _Region(start, start, owner, field_name, i, j,
+                                   [edit])
+                j += 1
+            if i < j:
+                # The run of siblings sharing the window's logical lines.
+                while i > 0 and not self._starts_line(body[i]):
+                    i -= 1
+                while j < len(body) and not self._ends_line(body[j - 1]):
+                    j += 1
+                if (self._starts_line(body[i])
+                        and self._ends_line(body[j - 1])
+                        and not self._is_elif(owner, field_name, i)):
+                    return _Region(self._start(body[i]),
+                                   self._end(body[j - 1]),
+                                   owner, field_name, i, j, [edit])
+            if owner is self.tree:
+                return _Region(0, len(self.source), owner, field_name,
+                               0, len(body), [edit], whole=True)
+            owner, field_name, i = self._enclosing(owner)
+            j = i + 1
+
+    def _enclosing(self, owner: ast.AST) -> tuple[ast.AST, str, int]:
+        """Where the statement owning ``owner``'s lists sits in its parent."""
+        if self._parents is None:
+            self._parents = {
+                id(child): (node, name, index)
+                for node in ast.walk(self.tree)
+                for name, value in ast.iter_fields(node)
+                if isinstance(value, list)
+                for index, child in enumerate(value)
+                if isinstance(child, ast.AST)
+            }
+        node = owner
+        while not isinstance(node, ast.stmt):  # handlers, match cases
+            node = self._parents[id(node)][0]
+        return self._parents[id(node)]
+
+    # -- rendering -------------------------------------------------------------
+
+    def _render(self, region: _Region) -> tuple[int, int, str]:
+        """``(start, end, text)``: the splice that realizes ``region``."""
+        stmts = getattr(region.owner, region.field)[region.i:region.j]
+        copies: dict[int, ast.AST] = {}
+        if any(edit.owner is not region.owner or edit.field != region.field
+               for edit in region.edits):
+            # Widened past the edited list: edit a copy of the subtree.
+            stmts = copy.deepcopy(stmts, copies)
+        for edit in sorted(region.edits, key=lambda e: e.start,
+                           reverse=True):
+            if edit.owner is region.owner and edit.field == region.field:
+                stmts[edit.start - region.i:edit.end - region.i] = edit.stmts
+            else:
+                body = getattr(copies[id(edit.owner)], edit.field)
+                body[edit.start:edit.end] = edit.stmts
+
+        start, end = region.start, region.end
+        if region.whole:
+            return start, end, _render(stmts, "") + "\n"
+        body = getattr(region.owner, region.field)
+        if region.i == len(body):  # append at the end of the module
+            newline = "\n" if self.source[-1:] not in ("", "\n", "\r") else ""
+            return start, end, newline + _render(stmts, "") + "\n"
+        first, last = body[region.i], body[region.j - 1]
+        indent = self._indent(first)
+        if region.i == region.j:
+            return start, end, _render(stmts, indent) + "\n" + indent
+        if stmts:
+            return start, end, _render(stmts, indent)
+        if not self._tail(last).strip(_BLANK):
+            # Pure deletion of whole lines: drop them, line breaks too.
+            return (self.lines.starts[self._first_line(first) - 1],
+                    self.lines.next_line(last.end_lineno), "")
+        return start, end, ""  # keep the indentation and trailing comment
+
+    # -- runtime import --------------------------------------------------------
+
+    def _add_runtime_import(self, edits: list[_Edit]) -> None:
+        """Insert ``import profipy_runtime as __pfp_rt__`` after the
+        docstring and ``__future__`` imports of the module as edited,
+        unless it is already imported there."""
+        slot = None
+        after = (None, len(self.tree.body))  # at the end of the module
+        for position, (stmt, edit, index) in enumerate(
+            self._edited_module(edits)
+        ):
+            if _is_runtime_import(stmt):
+                return
+            if slot is None and not _is_future(stmt) and not (
+                position == 0 and _is_docstring(stmt)
+            ):
+                slot = (edit, index)
+            after = (edit, index + 1)
+        edit, index = slot or after
+        runtime_import = ast.Import(names=[
+            ast.alias(name=RUNTIME_MODULE_NAME, asname=RUNTIME_ALIAS)
+        ])
+        if edit is None:
+            edits.append(
+                _Edit(self.tree, "body", index, index, [runtime_import]))
+        else:
+            edit.stmts.insert(index, runtime_import)
+
+    def _edited_module(self, edits: list[_Edit]):
+        """``(stmt, edit, index)`` for each statement of the edited module
+        body: ``edit.stmts[index]``, or pristine ``body[index]`` when
+        ``edit`` is None."""
+        body = self.tree.body
+        position = 0
+        for edit in sorted((edit for edit in edits if edit.owner is self.tree),
+                           key=lambda edit: edit.start):
+            for index in range(position, edit.start):
+                yield body[index], None, index
+            for index, stmt in enumerate(edit.stmts):
+                yield stmt, edit, index
+            position = edit.end
+        for index in range(position, len(body)):
+            yield body[index], None, index
+
+
+def _merge(regions: list[_Region]) -> list[_Region]:
+    """Merge overlapping regions (sorted by span).  Two overlapping
+    regions either hold statements of one list — their union is taken —
+    or one holds the other's statements whole, and absorbs it."""
+    merged: list[_Region] = []
+    for region in regions:
+        if not merged or region.start >= merged[-1].end:
+            merged.append(region)
+            continue
+        outer = merged[-1]
+        if region.owner is outer.owner and region.field == outer.field:
+            outer.i, outer.j = min(outer.i, region.i), max(outer.j, region.j)
+            outer.end = max(outer.end, region.end)
+            outer.whole = outer.whole or region.whole
+        elif region.end > outer.end:  # equal starts: region holds outer
+            region.edits += outer.edits
+            merged[-1] = region
+            continue
+        outer.edits += region.edits
+    return merged
+
+
+def _render(stmts: list[ast.stmt], indent: str) -> str:
+    """``stmts`` unparsed; every line after the first is indented by
+    ``indent`` (the first lands after the original indentation)."""
+    # unparse needs location attributes on 3.11 (type-comment lookup);
+    # synthetic nodes have none, pristine nodes keep theirs.
+    text = "\n".join(ast.unparse(ast.fix_missing_locations(stmt))
+                     for stmt in stmts)
+    if not indent or "\n" not in text:
+        return text
+    verbatim = _string_continuations(text)
+    first, *rest = text.split("\n")
+    return "\n".join([first] + [
+        line if not line or number in verbatim else indent + line
+        for number, line in enumerate(rest, 2)
+    ])
+
+
+def _string_continuations(text: str) -> set[int]:
+    """Line numbers inside a multi-line string of ``text``: re-indenting
+    them would change the string.  Only docstrings unparse that way,
+    always triple-quoted."""
+    if '"""' not in text and "'''" not in text:
+        return set()
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.STRING and token.end[0] > token.start[0]:
+            lines.update(range(token.start[0] + 1, token.end[0] + 1))
+    return lines
+
+
+def _is_docstring(stmt: ast.stmt) -> bool:
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str))
+
+
+def _is_future(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"
+
+
+def _is_runtime_import(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Import) and any(
+        alias.name == RUNTIME_MODULE_NAME and alias.asname == RUNTIME_ALIAS
+        for alias in stmt.names
     )
 
 
-def _covers_whole_list(match: Match) -> bool:
-    body = getattr(match.owner, match.field)
-    return match.start == 0 and match.end >= len(body)
-
-
-# -- runtime-import placement ---------------------------------------------------
-
-
-def _has_runtime_import(tree: ast.Module) -> bool:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Import) and any(
-            alias.name == RUNTIME_MODULE_NAME
-            and alias.asname == RUNTIME_ALIAS
-            for alias in stmt.names
-        ):
-            return True
-    return False
-
-
-def _runtime_import_line(tree: ast.Module, total_lines: int) -> int | None:
-    """1-based line where the runtime-import line may be inserted.
-
-    Mirrors ``_insert_runtime_import``'s index (after any docstring and
-    ``__future__`` imports) translated to source positions.  Returns None
-    when a whole-line insertion there would reorder statements (a prior
-    statement sharing the line, or a column-offset statement).
-    """
-    body = tree.body
-    index = 0
-    if body and isinstance(body[0], ast.Expr) and isinstance(
-        body[0].value, ast.Constant
-    ) and isinstance(body[0].value.value, str):
-        index = 1
-    while index < len(body) and (
-        isinstance(body[index], ast.ImportFrom)
-        and body[index].module == "__future__"
-    ):
-        index += 1
-    if index >= len(body):
-        return total_lines + 1  # append at EOF
-    stmt = body[index]
-    line = stmt.lineno
-    decorators = getattr(stmt, "decorator_list", None)
-    if decorators:
-        line = min(line, min(d.lineno for d in decorators))
-    if stmt.col_offset != 0:
-        return None  # `;`-joined module top: a line insert would reorder
-    if index > 0:
-        previous = body[index - 1]
-        if getattr(previous, "end_lineno", line) >= line:
-            return None  # the previous statement shares the line
-    return line
-
-
-__all__ = ["RUNTIME_IMPORT_LINE", "ast_equivalent", "patch_mutant"]
+__all__ = ["SpliceError", "insert_probes", "patch_mutant"]

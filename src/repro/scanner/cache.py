@@ -29,20 +29,17 @@ Two memoizers live here:
   experiment took, keyed by the pristine image and the run parameters
   (``orchestrator/coverage.py::durations_key``), from which a
   re-campaign orders dispatch longest-expected-first.
-* :class:`MatchMemo` — a memo of pristine parse trees and their matches
-  (one per mutant group, or private to a ``Mutator``), keyed per source
-  content with all per-spec match lists hanging off one shared tree
-  (one parse per file, however many specs).  The span-patching mutant
-  path only needs read access (:meth:`peek`); :meth:`take` hands out a
-  ``deepcopy``-translated private tree for the fallback path, and
-  :meth:`take_windows` gives the coverage instrumenter every requested
-  window on a single fresh tree.
+* :class:`MatchMemo` — a memo of pristine parse trees, their line
+  tables and their matches (one per mutant group, or private to a
+  ``Mutator``), keyed per source content with all per-spec match lists
+  hanging off one shared tree (one parse per file, however many specs).
+  The splicer (``mutator/patch.py``) only reads what :meth:`peek` hands
+  out, so nothing is ever copied here.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
 import hashlib
 import json
 import math
@@ -52,9 +49,9 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.common.fsutil import read_json, write_json
+from repro.common.textutil import SourceLines
 from repro.dsl.metamodel import MetaModel
 from repro.dsl.parser import BugSpec
-from repro.scanner.bindings import Bindings, CallCapture
 from repro.scanner.matcher import Match, Matcher, pick_match
 
 
@@ -472,11 +469,13 @@ class ScanCache:
 
 
 class _MemoEntry:
-    """One memoized source: a shared pristine tree plus per-spec matches."""
+    """One memoized source: its line table, a shared pristine tree, and
+    per-spec matches."""
 
-    __slots__ = ("tree", "matches")
+    __slots__ = ("lines", "tree", "matches")
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, lines: SourceLines, tree: ast.Module) -> None:
+        self.lines = lines
         self.tree = tree
         #: ``(spec name, raw spec text) -> match list`` — the raw text is
         #: part of the key because two specs may share a name while
@@ -486,17 +485,14 @@ class _MemoEntry:
 
 
 class MatchMemo:
-    """Bounded memo of ``source -> (pristine tree, per-spec matches)``.
+    """Bounded memo of ``source -> (line table, pristine tree, matches)``.
 
     One entry per source content; every spec's match list hangs off the
-    same shared tree, so a file hit by many specs is parsed exactly once.
-    :meth:`peek` exposes the shared tree read-only (the span-patching
-    path never mutates it); :meth:`take` hands out a *fresh* tree plus
-    the requested match translated onto it, so callers may mutate freely.
-    The translation uses the ``deepcopy`` memo dictionary —
-    ``memo[id(old_node)]`` is the copied node — to remap the match window
-    and every tag binding in O(tree) instead of re-running the
-    backtracking matcher.
+    same shared tree, so a file hit by many specs is parsed exactly once,
+    and its line table (:class:`~repro.common.textutil.SourceLines`) is
+    built once for every mutant and probe spliced into it.  Nothing
+    handed out may be mutated: the splicer only reads positions and
+    copies the statements it re-renders.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -511,8 +507,7 @@ class MatchMemo:
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry
-        tree = ast.parse(source)
-        entry = _MemoEntry(tree)
+        entry = _MemoEntry(SourceLines(source), ast.parse(source))
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -535,99 +530,21 @@ class MatchMemo:
         matches = Matcher(model).find_matches(entry.tree)
         with self._lock:
             # Existing wins: concurrent first-touches must agree on one
-            # match list (matching is deterministic, but identity matters
-            # for downstream node remapping).
+            # match list, so every window is a node of the shared tree.
             return entry.matches.setdefault(key, matches)
-
-    def _pristine(self, source: str,
-                  model: MetaModel) -> tuple[ast.Module, list[Match]]:
-        entry = self._entry(source)
-        return entry.tree, self._matches(entry, model)
 
     def count(self, source: str, model: MetaModel) -> int:
         """Number of matches of ``model`` in ``source`` (memoized)."""
-        return len(self._pristine(source, model)[1])
+        return len(self._matches(self._entry(source), model))
 
     def peek(self, source: str, model: MetaModel,
-             ordinal: int) -> tuple[ast.Module, Match]:
-        """The *shared* pristine tree plus the ``ordinal``-th match.
+             ordinal: int) -> tuple[SourceLines, ast.Module, Match]:
+        """The *shared* line table and pristine tree, plus the
+        ``ordinal``-th match.
 
-        Callers must treat both as read-only: the tree is handed to every
-        other consumer of this source.  The span-patching mutant path
-        only reads positions and unparses, so it peeks instead of taking.
-        """
-        tree, matches = self._pristine(source, model)
-        return tree, pick_match(matches, model.name, ordinal)
-
-    def take(self, source: str, model: MetaModel,
-             ordinal: int) -> tuple[ast.Module, Match]:
-        """A fresh tree plus the ``ordinal``-th match located in it."""
-        tree, matches = self._pristine(source, model)
-        match = pick_match(matches, model.name, ordinal)
-        node_map: dict[int, object] = {}
-        fresh_tree = copy.deepcopy(tree, node_map)
-        fresh = Match(
-            owner=node_map[id(match.owner)],
-            field=match.field,
-            start=match.start,
-            end=match.end,
-            bindings=_remap_bindings(match.bindings, node_map),
-            spec_name=match.spec_name,
-        )
-        return fresh_tree, fresh
-
-    def take_windows(
-        self, source: str, targets: "list[tuple[MetaModel, int]]",
-    ) -> tuple[ast.Module, list[Match]]:
-        """One fresh tree plus every ``(model, ordinal)`` window on it.
-
-        The coverage instrumenter needs many windows on a single mutable
-        tree; this costs one ``deepcopy`` total instead of one per window,
-        and the backtracking matcher runs at most once per distinct spec.
-        Bindings are not remapped — probe insertion only needs the window.
+        Callers must treat all three as read-only: they are handed to
+        every other consumer of this source.
         """
         entry = self._entry(source)
-        picked = [
-            pick_match(self._matches(entry, model), model.name, ordinal)
-            for model, ordinal in targets
-        ]
-        node_map: dict[int, object] = {}
-        fresh_tree = copy.deepcopy(entry.tree, node_map)
-        windows = [
-            Match(
-                owner=node_map[id(match.owner)],
-                field=match.field,
-                start=match.start,
-                end=match.end,
-                bindings=Bindings(),
-                spec_name=match.spec_name,
-            )
-            for match in picked
-        ]
-        return fresh_tree, windows
-
-
-def _remap_bindings(bindings: Bindings, node_map: dict) -> Bindings:
-    remapped = Bindings()
-    for tag in bindings.tags():
-        remapped.bind(tag, _remap_value(bindings.get(tag), node_map))
-    return remapped
-
-
-def _remap_value(value, node_map: dict):
-    if isinstance(value, ast.AST):
-        return node_map[id(value)]
-    if isinstance(value, CallCapture):
-        return CallCapture(
-            call=node_map[id(value.call)],
-            wildcards=[[node_map[id(arg)] for arg in group]
-                       for group in value.wildcards],
-            absorbed_keywords=[node_map[id(keyword)]
-                               for keyword in value.absorbed_keywords],
-            containing_stmt=(node_map[id(value.containing_stmt)]
-                             if value.containing_stmt is not None else None),
-        )
-    if isinstance(value, list):
-        return [node_map[id(item)] if isinstance(item, ast.AST) else item
-                for item in value]
-    return value  # anchor tuples and other scalars pass through
+        match = pick_match(self._matches(entry, model), model.name, ordinal)
+        return entry.lines, entry.tree, match

@@ -3,8 +3,12 @@
 The headline property, on randomly generated programs: for every match of
 every pre-defined fault operator, the mutated source still parses — both
 in permanent and trigger mode — and coverage instrumentation never breaks
-the program either.  Further properties cover the DSL parameter splitter,
-corruption primitives, and the etcd store's index/consistency invariants.
+the program either; both equal the oracle's whole-file rendering
+(``tests/oracle.py``).  The programs are printed with awkward layouts:
+same-line suites, ``;`` joins, ``elif`` chains, decorators, and form
+feeds and other odd line-break characters in comments and blank lines.
+Further properties cover the DSL parameter splitter, corruption
+primitives, and the etcd store's index/consistency invariants.
 """
 
 import ast
@@ -12,6 +16,11 @@ import ast
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import (
+    ast_equivalent,
+    legacy_instrumented_source,
+    legacy_mutant_source,
+)
 
 from repro.common.rng import SeededRandom
 from repro.dsl.params import split_top_level
@@ -31,6 +40,12 @@ SETTINGS = settings(
 
 NAMES = ("a", "b", "node", "value", "delete_x", "helper")
 FUNC_NAMES = ("foo", "delete_port", "utils.execute", "os.path.join")
+DECORATORS = ("cache", "functools.wraps", "app.route")
+#: Trailing comments, some with characters ``str.splitlines`` breaks at.
+COMMENTS = ("", "", "  # c", "  # \x0c", "  # a\x85b", "  #\u2028",
+            "  # \u2029\x0b\x1c")
+#: Lines between statements: none, empty, or whitespace-only.
+SPACERS = (None, None, "", "\x0c", "   ", "\x0c    ")
 
 
 def _name_node(name):
@@ -81,11 +96,16 @@ def statements(draw, depth=0):
     if choice == 2:
         return ast.Return(value=draw(expressions(depth=depth)))
     if choice == 3:
+        if draw(st.booleans()):  # an elif arm
+            orelse = [draw(statements(depth=depth + 1).filter(
+                lambda stmt: isinstance(stmt, ast.If)))]
+        else:
+            orelse = draw(st.lists(statements(depth=depth + 1), max_size=2))
         return ast.If(
             test=draw(expressions(depth=depth + 1)),
             body=draw(st.lists(statements(depth=depth + 1), min_size=1,
                                max_size=3)),
-            orelse=draw(st.lists(statements(depth=depth + 1), max_size=2)),
+            orelse=orelse,
         )
     if choice == 4:
         return ast.For(
@@ -102,7 +122,8 @@ def statements(draw, depth=0):
                            kw_defaults=[], defaults=[]),
         body=draw(st.lists(statements(depth=depth + 1), min_size=1,
                            max_size=4)),
-        decorator_list=[],
+        decorator_list=[_name_node(name) for name in draw(
+            st.lists(st.sampled_from(DECORATORS), max_size=2))],
     )
 
 
@@ -113,7 +134,68 @@ def programs(draw):
         type_ignores=[],
     )
     ast.fix_missing_locations(module)
-    return ast.unparse(module) + "\n"
+    out: list[str] = []
+    _print_body(draw, module.body, "", out)
+    return "".join(out)
+
+
+def _is_simple(stmt):
+    return isinstance(stmt, (ast.Expr, ast.Assign, ast.Return))
+
+
+def _print_body(draw, stmts, indent, out):
+    """Print a statement list, drawing a layout for every line."""
+    index = 0
+    while index < len(stmts):
+        spacer = draw(st.sampled_from(SPACERS))
+        if spacer is not None:
+            out.append(spacer + "\n")
+        stmt = stmts[index]
+        if _is_simple(stmt):
+            run = [stmt]
+            while (index + len(run) < len(stmts)
+                   and _is_simple(stmts[index + len(run)])
+                   and draw(st.booleans())):
+                run.append(stmts[index + len(run)])
+            out.append(indent + "; ".join(ast.unparse(s) for s in run)
+                       + draw(st.sampled_from(COMMENTS)) + "\n")
+            index += len(run)
+            continue
+        if isinstance(stmt, ast.If):
+            _print_if(draw, stmt, "if", indent, out)
+        elif isinstance(stmt, ast.For):
+            _print_suite(draw, f"for {ast.unparse(stmt.target)} in "
+                         f"{ast.unparse(stmt.iter)}:", stmt.body, indent, out)
+        else:
+            for decorator in stmt.decorator_list:
+                out.append(f"{indent}@{ast.unparse(decorator)}"
+                           + draw(st.sampled_from(COMMENTS)) + "\n")
+            _print_suite(draw, f"def {stmt.name}():", stmt.body, indent, out)
+        index += 1
+
+
+def _print_if(draw, stmt, keyword, indent, out):
+    _print_suite(draw, f"{keyword} {ast.unparse(stmt.test)}:", stmt.body,
+                 indent, out)
+    orelse = stmt.orelse
+    if not orelse:
+        return
+    if (len(orelse) == 1 and isinstance(orelse[0], ast.If)
+            and draw(st.booleans())):
+        _print_if(draw, orelse[0], "elif", indent, out)
+    else:
+        _print_suite(draw, "else:", orelse, indent, out)
+
+
+def _print_suite(draw, header, body, indent, out):
+    """A compound header with its suite on the same line or below it."""
+    if all(_is_simple(stmt) for stmt in body) and draw(st.booleans()):
+        out.append(f"{indent}{header} "
+                   + "; ".join(ast.unparse(stmt) for stmt in body)
+                   + draw(st.sampled_from(COMMENTS)) + "\n")
+        return
+    out.append(indent + header + draw(st.sampled_from(COMMENTS)) + "\n")
+    _print_body(draw, body, indent + "    ", out)
 
 
 ALL_MODELS = gswfit_model().compile() + extended_model().compile()
@@ -129,7 +211,10 @@ class TestMutantsAlwaysParse:
             mutator = Mutator(trigger=False, rng=SeededRandom(seed))
             for ordinal in range(min(len(matches), 3)):
                 mutation = mutator.mutate_source(source, model, ordinal)
-                ast.parse(mutation.source)
+                assert ast_equivalent(mutation.source, legacy_mutant_source(
+                    source, model, ordinal, trigger=False,
+                    rng=SeededRandom(seed), fault_id=mutation.fault_id,
+                ))
 
     @SETTINGS
     @given(source=programs())
@@ -140,10 +225,12 @@ class TestMutantsAlwaysParse:
             mutator = Mutator(trigger=True)
             for ordinal in range(min(len(matches), 2)):
                 mutation = mutator.mutate_source(source, model, ordinal)
-                mutated_tree = ast.parse(mutation.source)
                 # The trigger keeps the original statements in an else arm.
                 assert "__pfp_rt__.enabled" in mutation.source
-                assert mutated_tree is not None
+                assert ast_equivalent(mutation.source, legacy_mutant_source(
+                    source, model, ordinal, trigger=True,
+                    rng=SeededRandom(0), fault_id=mutation.fault_id,
+                ))
 
     @SETTINGS
     @given(source=programs())
@@ -156,7 +243,8 @@ class TestMutantsAlwaysParse:
                 for ordinal in range(min(len(matches), 3))
             ]
             instrumented = Mutator().instrument_source(source, targets)
-            ast.parse(instrumented)
+            assert ast_equivalent(
+                instrumented, legacy_instrumented_source(source, targets))
             assert instrumented.count("__pfp_rt__.cover") == len(targets)
 
     @SETTINGS
