@@ -2,7 +2,7 @@
 
 One :class:`RetryPolicy` + :func:`retry_call` pair replaces the ad-hoc
 single-timeout calls the service stack grew separately — the client's
-idempotent GETs (:meth:`repro.service.client.ProFIPyClient._request`),
+idempotent ``/v1`` rows (:meth:`repro.service.client.ProFIPyClient._call`),
 the remote dispatcher's poll/mirror loops, and worker heartbeats
 (:class:`repro.service.registry.WorkerAgent`) all retry through here.
 

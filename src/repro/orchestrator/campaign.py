@@ -158,6 +158,10 @@ class CampaignConfig:
             # Wire-format configs arrive with the sampling block as a
             # plain dict; normalize (and validate) it here.
             self.sampling = SamplingConfig.from_dict(self.sampling)
+        elif not isinstance(self.sampling, (SamplingConfig, type(None))):
+            raise ValueError(
+                "sampling must be a SamplingConfig, its dict form, or "
+                f"None, got {type(self.sampling).__name__}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if (self.backend == BACKEND_REMOTE and not self.workers

@@ -6,17 +6,19 @@ by the HTTP server (:mod:`repro.service.http`) and the client SDK
 
 * **versioned request/response schemas** — dataclasses with explicit
   ``to_dict``/``from_dict`` JSON round-trips (:class:`JobView`,
-  :class:`ExperimentPage`, :class:`RegressionTests`), plus lossless
-  converters for :class:`CampaignConfig`, classification rules, and
-  component specs, so a campaign submitted over HTTP is byte-identical
-  to one submitted in-process;
+  :class:`ExperimentPage`), plus lossless converters for
+  :class:`CampaignConfig`, classification rules, and component specs,
+  so a campaign submitted over HTTP is byte-identical to one submitted
+  in-process;
 * **explicit error codes** (:data:`ERROR_STATUS`) — every domain failure
   maps to one :class:`APIError` code with a fixed HTTP status, and the
   client maps each code back to the exception type the in-process
   :class:`~repro.service.service.ProFIPyService` raises;
-* :class:`ServiceAPI` — the ``/v1`` operations expressed in JSON space
-  over a ``ProFIPyService`` core.  Both transports execute the exact
-  same core methods, which is what keeps them behaviourally identical.
+* :data:`ROUTES` — every ``/v1`` endpoint declared once: method, path
+  template, query types, body and response kinds, error code, auth
+  scope, and the ``ProFIPyService`` operation it runs.  The server
+  dispatches from it, the client builds its requests from it, and a
+  test checks ``docs/SERVICE_API.md`` against it.
 
 The wire format is versioned: every endpoint lives under ``/v1`` and
 responses carry ``api_version``.  Breaking schema changes get a ``/v2``
@@ -26,24 +28,27 @@ mount next to (not instead of) this one.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Callable
+from urllib.parse import quote, unquote, urlencode
 
 from repro.analysis.classify import ClassificationRule
 from repro.analysis.metrics import ComponentSpec
+from repro.dsl.errors import DslError
+from repro.faultmodel.library import predefined_models
 from repro.faultmodel.model import FaultModel
 from repro.orchestrator.campaign import CampaignConfig
 from repro.service.jobs import Job
+from repro.service.registry import LeaseExpiredError
 from repro.service.tenants import (
     AuthenticationError,
     QuotaExceededError,
     TenantForbiddenError,
 )
 from repro.workload.spec import WorkloadSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.service import ProFIPyService
 
 API_VERSION = "v1"
 
@@ -111,8 +116,6 @@ def exception_for(error: APIError) -> Exception:
     if error.code == "invalid_request":
         return ValueError(error.message)
     if error.code == "lease_expired":
-        from repro.service.registry import LeaseExpiredError
-
         return LeaseExpiredError(error.message)
     if error.code == "unauthorized":
         return AuthenticationError(error.message)
@@ -348,7 +351,9 @@ def component_from_dict(data: dict) -> ComponentSpec:
     )
 
 
-# -- the /v1 operations ------------------------------------------------------------
+
+
+# -- the /v1 route table -------------------------------------------------------------
 
 #: Page-size bounds for experiment retrieval.
 DEFAULT_PAGE_LIMIT = 100
@@ -357,374 +362,329 @@ MAX_PAGE_LIMIT = 1000
 #: Longest single long-poll a server answers; clients loop to wait longer.
 MAX_WAIT_SECONDS = 60.0
 
+# Request body kinds.
+NO_BODY = "none"
+JSON_BODY = "json"            # a JSON object, required
+OPTIONAL_JSON = "json?"       # a JSON object; an empty body reads as {}
+RAW_BODY = "bytes"            # the bytes verbatim
 
-class ServiceAPI:
-    """The ``/v1`` operations in JSON space over a ``ProFIPyService``.
+# Response kinds.
+JSON = "json"                 # a JSON object
+TEXT = "text"                 # text/plain
+FILE = "file"                 # a result stream file, chunk-streamed
+TAIL = "tail"                 # a newline-aligned NDJSON tail
+BYTES = "bytes"               # raw bytes
 
-    Every method takes and returns JSON-serializable values and raises
-    only :class:`APIError`, so any transport (the stdlib HTTP server, a
-    test harness calling it directly) exposes identical behaviour.
+# Auth scopes.
+OPEN = "open"                 # no credentials (health probes)
+AUTH = "auth"                 # a valid token; fleet resources are shared
+TENANT = "tenant"             # a valid token; the operation sees its tenant
+
+#: Exceptions that mean the request itself could not be decoded.
+DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, DslError)
+
+#: What an operation's exception means on the wire (``KeyError`` maps to
+#: the row's own ``missing`` code; anything unlisted is ``internal``).
+_CALL_ERRORS = (
+    (FileNotFoundError, "missing_artifact"),
+    (TenantForbiddenError, "forbidden"),
+    (QuotaExceededError, "quota_exceeded"),
+    (TimeoutError, "timeout"),
+    (LeaseExpiredError, "lease_expired"),
+    ((ValueError, TypeError), "invalid_request"),
+)
+
+
+@dataclass(frozen=True)
+class Route:
+    """One ``/v1`` endpoint, declared once for server, client, and docs.
+
+    The server calls ``call(service, **arguments)``: the arguments are
+    the path parameters (percent-decoded), the present ``query``
+    parameters cast to their declared types, ``body`` (after
+    ``decode``, when the row has a body), and ``tenant`` (tenant-scoped
+    rows).  ``missing`` is the error code a ``KeyError`` from the call
+    maps to; ``idempotent`` rows are the ones the client retries.
     """
 
-    def __init__(self, service: "ProFIPyService") -> None:
-        self.service = service
+    name: str
+    method: str
+    path: str
+    call: Callable
+    query: tuple[tuple[str, type], ...] = ()
+    body: str = NO_BODY
+    decode: Callable | None = None
+    response: str = JSON
+    status: int = 200
+    missing: str = "invalid_request"
+    scope: str = TENANT
+    idempotent: bool = False
 
-    # -- meta ------------------------------------------------------------------
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        """The path parameter names, in template order."""
+        return tuple(re.findall(r"\{(\w+)\}", self.path))
 
-    def ping(self) -> dict:
-        return {"service": "profipy", "api_version": API_VERSION,
-                "workspace": str(self.service.workspace)}
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        return re.compile(re.sub(r"\\\{(\w+)\\\}", r"(?P<\1>[^/]+)",
+                                 re.escape(self.path)))
 
-    # -- fault models ----------------------------------------------------------
+    def url(self, *args, query: dict | None = None) -> str:
+        """The request path for these path arguments (each
+        percent-encoded, ``/`` included) and query values (``None``
+        values are left out)."""
+        path = self.path.format(**{
+            name: quote(str(arg), safe="")
+            for name, arg in zip(self.params, args, strict=True)
+        })
+        query = query or {}
+        values = {key: query[key] for key, _cast in self.query
+                  if query.get(key) is not None}
+        return path + "?" + urlencode(values) if values else path
 
-    def list_models(self, tenant: str | None = None) -> dict:
-        from repro.faultmodel.library import predefined_models
 
-        return {
-            "stored": self.service.stored_models(tenant=tenant),
-            "predefined": sorted(predefined_models()),
-            "models": self.service.list_models(tenant=tenant),
-            "api_version": API_VERSION,
-        }
+def resolve(method: str, path: str) -> tuple[Route | None, dict, list[str]]:
+    """The route serving ``method path``, its percent-decoded path
+    parameters, and — when no row has that method — the methods the
+    path does allow (empty for an unknown path)."""
+    allowed = set()
+    for route in ROUTES:
+        found = route.pattern.fullmatch(path)
+        if found is None:
+            continue
+        if route.method == method:
+            return route, {name: unquote(value) for name, value
+                           in found.groupdict().items()}, []
+        allowed.add(route.method)
+    return None, {}, sorted(allowed)
 
-    def get_model(self, name: str, tenant: str | None = None) -> dict:
-        try:
-            return self.service.load_model(name, tenant=tenant).to_dict()
-        except KeyError as error:
-            raise APIError("unknown_model", str(error.args[0])) from None
 
-    def put_model(self, name: str, payload: dict,
-                  tenant: str | None = None) -> dict:
-        try:
-            model = FaultModel.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as error:
-            raise APIError(
-                "invalid_request", f"malformed fault model: {error}"
-            ) from None
-        if model.name != name:
-            raise APIError(
-                "invalid_request",
-                f"model name {model.name!r} does not match URL name {name!r}",
-            )
-        path = self.service.save_model(model, tenant=tenant)
-        return {"name": model.name, "path": str(path),
-                "api_version": API_VERSION}
+def call_error(route: Route, error: Exception) -> APIError | None:
+    """The wire error for an exception the row's operation raised, or
+    ``None`` when it is an unexpected (``internal``) failure."""
+    if isinstance(error, KeyError):
+        message = error.args[0] if error.args else route.missing
+        return APIError(route.missing, str(message))
+    for types, code in _CALL_ERRORS:
+        if isinstance(error, types):
+            return APIError(code, str(error))
+    return None
 
-    # -- campaigns -------------------------------------------------------------
 
-    def submit_campaign(self, payload: dict,
-                        tenant: str | None = None) -> dict:
-        """Submit a campaign job from its wire form.
+# -- operations that are more than one service call ---------------------------------
 
-        Payload: ``{"config": {...}, "rules": [...], "components":
-        [...], "resume_from": ..., "block": false}``.  Returns the job
-        view; with ``block`` true the returned job is terminal.
-        """
-        if not isinstance(payload, dict) or "config" not in payload:
-            raise APIError("invalid_request",
-                           'payload must be an object with a "config" key')
-        try:
-            config = campaign_config_from_dict(payload["config"])
-            rules = [rule_from_dict(r) for r in payload.get("rules", [])]
-            components = [component_from_dict(c)
-                          for c in payload.get("components", [])]
-        except (KeyError, TypeError, ValueError, FileNotFoundError) as error:
-            raise APIError("invalid_request",
-                           f"malformed campaign payload: {error}") from None
-        resume_from = payload.get("resume_from")
-        try:
-            job = self.service.submit_campaign(
-                config,
-                rules=rules,
-                components=components,
-                block=bool(payload.get("block", False)),
-                resume_from=resume_from,
-                tenant=tenant,
-            )
-        except TenantForbiddenError as error:
-            raise APIError("forbidden", str(error)) from None
-        except QuotaExceededError as error:
-            raise APIError("quota_exceeded", str(error)) from None
-        except KeyError:
-            raise APIError("unknown_job",
-                           f"unknown job {resume_from!r}") from None
-        except FileNotFoundError as error:
-            raise APIError("missing_artifact", str(error)) from None
-        return JobView.from_job(job).to_dict()
 
-    # -- jobs ------------------------------------------------------------------
+def _stamped(payload: dict) -> dict:
+    return {**payload, "api_version": API_VERSION}
 
-    def _job(self, job_id: str, tenant: str | None = None) -> Job:
-        try:
-            return self.service.job(job_id, tenant=tenant)
-        except TenantForbiddenError as error:
-            raise APIError("forbidden", str(error)) from None
-        except KeyError:
-            raise APIError("unknown_job",
-                           f"unknown job {job_id!r}") from None
 
-    def get_job(self, job_id: str, tenant: str | None = None) -> dict:
-        return JobView.from_job(self._job(job_id, tenant)).to_dict()
+def _job_view(job: Job) -> dict:
+    return JobView.from_job(job).to_dict()
 
-    def list_jobs(self, tenant: str | None = None) -> dict:
-        return {
-            "jobs": [JobView.from_job(job).to_dict()
-                     for job in self.service.list_jobs(tenant=tenant)],
-            "api_version": API_VERSION,
-        }
 
-    def cancel_job(self, job_id: str, tenant: str | None = None) -> dict:
-        self._job(job_id, tenant)
-        return JobView.from_job(
-            self.service.cancel(job_id, tenant=tenant)
-        ).to_dict()
+def _models(service, tenant):
+    return _stamped({"stored": service.stored_models(tenant=tenant),
+                     "predefined": sorted(predefined_models()),
+                     "models": service.list_models(tenant=tenant)})
 
-    def wait_job(self, job_id: str, timeout: float | None,
-                 tenant: str | None = None) -> dict:
-        """Long-poll until the job is terminal (bounded per request)."""
-        self._job(job_id, tenant)
-        if timeout is None or timeout > MAX_WAIT_SECONDS:
-            timeout = MAX_WAIT_SECONDS
-        try:
-            job = self.service.wait(job_id, timeout=timeout, tenant=tenant)
-        except TimeoutError as error:
-            raise APIError("timeout", str(error)) from None
-        return JobView.from_job(job).to_dict()
 
-    # -- results ---------------------------------------------------------------
+def _put_model(service, name, body: FaultModel, tenant):
+    if body.name != name:
+        raise ValueError(
+            f"model name {body.name!r} does not match URL name {name!r}")
+    path = service.save_model(body, tenant=tenant)
+    return _stamped({"name": body.name, "path": str(path)})
 
-    def job_summary(self, job_id: str, tenant: str | None = None) -> dict:
-        job = self._job(job_id, tenant)
-        try:
-            return self.service.result_summary(job.job_id, tenant=tenant)
-        except FileNotFoundError as error:
-            raise APIError("missing_artifact", str(error)) from None
 
-    def job_report(self, job_id: str, tenant: str | None = None) -> str:
-        job = self._job(job_id, tenant)
-        try:
-            return self.service.report_text(job.job_id, tenant=tenant)
-        except FileNotFoundError as error:
-            raise APIError("missing_artifact", str(error)) from None
+def _campaign_arguments(payload: dict) -> dict:
+    """Payload ``{"config": {...}, "rules": [...], "components": [...],
+    "resume_from": ..., "block": false}`` → ``submit_campaign``
+    keyword arguments."""
+    return {
+        "config": campaign_config_from_dict(payload["config"]),
+        "rules": [rule_from_dict(r) for r in payload.get("rules", [])],
+        "components": [component_from_dict(c)
+                       for c in payload.get("components", [])],
+        "block": bool(payload.get("block", False)),
+        "resume_from": payload.get("resume_from"),
+    }
 
-    def job_experiments(self, job_id: str, offset: int = 0,
-                        limit: int = DEFAULT_PAGE_LIMIT,
-                        tenant: str | None = None) -> dict:
-        if offset < 0 or limit < 1:
-            raise APIError("invalid_request",
-                           f"offset must be >= 0 and limit >= 1 "
-                           f"(got offset={offset}, limit={limit})")
-        limit = min(limit, MAX_PAGE_LIMIT)
-        # Serve the recorded dicts straight from the stream (sorted by
-        # experiment id, like the in-process reader) — no
-        # ExperimentResult materialization + re-serialization per page.
-        from repro.orchestrator.stream import ExperimentStream
 
-        entries = ExperimentStream(
-            self.experiments_path(job_id, tenant)
-        ).entries()
-        return ExperimentPage(
-            experiments=entries[offset:offset + limit],
-            total=len(entries),
-            offset=offset,
-            limit=limit,
-        ).to_dict()
+def _wait(service, job_id, tenant, timeout=None):
+    """Long-poll until the job is terminal (bounded per request)."""
+    if timeout is None or timeout > MAX_WAIT_SECONDS:
+        timeout = MAX_WAIT_SECONDS
+    return _job_view(service.wait(job_id, timeout=timeout, tenant=tenant))
 
-    def experiments_path(self, job_id: str,
-                         tenant: str | None = None) -> Path:
-        """Filesystem path of the raw result stream (for NDJSON
-        transports that serve the file verbatim).
 
-        The path may not exist yet (job still queued): transports serve
-        an empty stream then, matching the in-process facade's ``[]``
-        for a job with no recorded experiments.
-        """
-        job = self._job(job_id, tenant)
-        try:
-            return self.service.experiments_path(job.job_id, tenant=tenant)
-        except FileNotFoundError as error:
-            raise APIError("missing_artifact", str(error)) from None
+def _experiments_page(service, job_id, tenant, offset=0,
+                      limit=DEFAULT_PAGE_LIMIT):
+    """One page of the recorded dicts, served straight from the stream
+    (sorted by experiment id, like the in-process reader)."""
+    if offset < 0 or limit < 1:
+        raise ValueError(f"offset must be >= 0 and limit >= 1 "
+                         f"(got offset={offset}, limit={limit})")
+    from repro.orchestrator.stream import ExperimentStream
 
-    # -- remote-backend worker endpoints ----------------------------------------
+    limit = min(limit, MAX_PAGE_LIMIT)
+    entries = ExperimentStream(
+        service.experiments_path(job_id, tenant=tenant)).entries()
+    return ExperimentPage(experiments=entries[offset:offset + limit],
+                          total=len(entries), offset=offset,
+                          limit=limit).to_dict()
 
-    def submit_shard(self, payload: dict) -> dict:
-        """Accept a remote-backend shard payload (``POST /v1/shards``).
 
-        The payload is the JSON-plain shard form built by
-        :func:`repro.orchestrator.backends.build_shard_payload`; the
-        worker rewrites the local-only paths into its own workspace.
-        Returns the shard's status view (``queued`` until an execution
-        slot frees, then ``running``).
-        """
-        if not isinstance(payload, dict):
-            raise APIError("invalid_request",
-                           "shard payload must be a JSON object")
-        try:
-            view = self.service.submit_shard(payload)
-        except (KeyError, TypeError, ValueError) as error:
-            raise APIError("invalid_request",
-                           f"malformed shard payload: {error}") from None
-        return {**view, "api_version": API_VERSION}
+def _regression_tests(service, job_id, tenant):
+    """Generate regression tests server-side and return their sources
+    (the client materializes them wherever it wants)."""
+    dest = service._job_dir(service.job(job_id, tenant=tenant))
+    written = service.generate_regression_tests(
+        job_id, dest / "regression_tests", tenant=tenant)
+    return _stamped({"tests": [
+        {"filename": path.name, "content": path.read_text(encoding="utf-8")}
+        for path in written
+    ]})
 
-    def list_shards(self) -> dict:
-        """Every shard this worker accepted (operator introspection)."""
-        return {"shards": self.service.list_shards(),
-                "api_version": API_VERSION}
 
-    def get_shard(self, shard_id: str) -> dict:
-        """One shard's ``{state, total, recorded, cancelled, error}``
-        status view (the dispatcher's progress poll)."""
-        try:
-            view = self.service.shard_status(shard_id)
-        except KeyError:
-            raise APIError("unknown_shard",
-                           f"unknown shard {shard_id!r}") from None
-        return {**view, "api_version": API_VERSION}
+def _shard_tail(service, shard_id, offset=0) -> bytes:
+    """The shard stream from byte ``offset``, cut after its last newline:
+    a read racing an in-flight append never ships half a record, and
+    the next poll starts at ``offset + len(tail)``."""
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+    path = service.shard_stream_path(shard_id)
+    try:
+        size = path.stat().st_size
+    except OSError:
+        return b""  # nothing recorded yet: an empty tail
+    with open(path, "rb") as handle:
+        handle.seek(min(offset, size))
+        data = handle.read(max(size - offset, 0))
+    return data[:data.rfind(b"\n") + 1]
 
-    def cancel_shard(self, shard_id: str) -> dict:
-        """Request cooperative shard cancellation (idempotent)."""
-        try:
-            view = self.service.cancel_shard(shard_id)
-        except KeyError:
-            raise APIError("unknown_shard",
-                           f"unknown shard {shard_id!r}") from None
-        return {**view, "api_version": API_VERSION}
 
-    def shard_stream_path(self, shard_id: str) -> Path:
-        """Filesystem path of the shard's raw result stream (for the
-        NDJSON tail endpoint; may not exist yet — served as empty)."""
-        try:
-            return self.service.shard_stream_path(shard_id)
-        except KeyError:
-            raise APIError("unknown_shard",
-                           f"unknown shard {shard_id!r}") from None
+def _read_blob(service, digest) -> bytes:
+    try:
+        return service.blob_path(digest).read_bytes()
+    except OSError:
+        # Evicted between lookup and read: to the client that is
+        # indistinguishable from never-stored.
+        raise KeyError(f"unknown blob {digest!r}") from None
 
-    # -- content-addressed blobs --------------------------------------------------
 
-    def blob_path(self, digest: str) -> Path:
-        """Filesystem path of a stored blob (the raw-bytes GET serves
-        it verbatim); ``unknown_blob`` when this host lacks it."""
-        try:
-            return self.service.blob_path(digest)
-        except ValueError as error:
-            raise APIError("invalid_request", str(error)) from None
-        except KeyError:
-            raise APIError("unknown_blob",
-                           f"unknown blob {digest!r}") from None
+def _digests(payload: dict) -> list:
+    if not isinstance(payload["digests"], list):
+        raise ValueError('"digests" must be a list')
+    return payload["digests"]
 
-    def put_blob(self, digest: str, data: bytes,
-                 tenant: str | None = None) -> dict:
-        """Store one blob (``PUT /v1/blobs/{digest}``, raw body).
 
-        The content is verified against the URL digest — a mismatch is
-        a corrupt upload and answers ``invalid_request``.  Idempotent:
-        re-putting a stored blob is a no-op (and costs no quota).
-        """
-        try:
-            stored = self.service.put_blob(digest, data, tenant=tenant)
-        except QuotaExceededError as error:
-            raise APIError("quota_exceeded", str(error)) from None
-        except (TypeError, ValueError) as error:
-            raise APIError("invalid_request", str(error)) from None
-        return {"digest": stored, "size": len(data),
-                "api_version": API_VERSION}
+#: Every ``/v1`` endpoint.  Matching is first-row-wins per method, so
+#: ``POST /v1/blobs/missing`` precedes ``/v1/blobs/{digest}``.
+ROUTES = (
+    Route("ping", "GET", "/v1/ping", lambda service: _stamped(
+        {"service": "profipy", "workspace": str(service.workspace)}),
+        scope=OPEN, idempotent=True),
+    # -- fault models
+    Route("list_models", "GET", "/v1/models", _models, idempotent=True),
+    Route("load_model", "GET", "/v1/models/{name}",
+          lambda service, name, tenant:
+          service.load_model(name, tenant=tenant).to_dict(),
+          missing="unknown_model", idempotent=True),
+    Route("save_model", "PUT", "/v1/models/{name}", _put_model,
+          body=JSON_BODY, decode=FaultModel.from_dict),
+    # -- campaigns and jobs
+    Route("submit_campaign", "POST", "/v1/campaigns",
+          lambda service, body, tenant:
+          _job_view(service.submit_campaign(**body, tenant=tenant)),
+          body=JSON_BODY, decode=_campaign_arguments, status=202,
+          missing="unknown_job"),
+    Route("list_jobs", "GET", "/v1/jobs", lambda service, tenant: _stamped(
+        {"jobs": [_job_view(job)
+                  for job in service.list_jobs(tenant=tenant)]}),
+        idempotent=True),
+    Route("job", "GET", "/v1/jobs/{job_id}",
+          lambda service, job_id, tenant:
+          _job_view(service.job(job_id, tenant=tenant)),
+          missing="unknown_job", idempotent=True),
+    Route("cancel", "POST", "/v1/jobs/{job_id}/cancel",
+          lambda service, job_id, tenant:
+          _job_view(service.cancel(job_id, tenant=tenant)),
+          missing="unknown_job"),
+    Route("wait", "GET", "/v1/jobs/{job_id}/wait", _wait,
+          query=(("timeout", float),), missing="unknown_job",
+          idempotent=True),
+    Route("result_summary", "GET", "/v1/jobs/{job_id}/summary",
+          lambda service, job_id, tenant:
+          service.result_summary(job_id, tenant=tenant),
+          missing="unknown_job", idempotent=True),
+    Route("report_text", "GET", "/v1/jobs/{job_id}/report",
+          lambda service, job_id, tenant:
+          service.report_text(job_id, tenant=tenant),
+          response=TEXT, missing="unknown_job", idempotent=True),
+    Route("experiments_page", "GET", "/v1/jobs/{job_id}/experiments",
+          _experiments_page, query=(("offset", int), ("limit", int)),
+          missing="unknown_job", idempotent=True),
+    Route("experiments", "GET", "/v1/jobs/{job_id}/experiments.ndjson",
+          lambda service, job_id, tenant:
+          service.experiments_path(job_id, tenant=tenant),
+          response=FILE, missing="unknown_job", idempotent=True),
+    Route("generate_regression_tests", "POST",
+          "/v1/jobs/{job_id}/regression-tests", _regression_tests,
+          missing="unknown_job"),
+    # -- remote-backend worker role
+    Route("submit_shard", "POST", "/v1/shards",
+          lambda service, body: _stamped(service.submit_shard(body)),
+          body=JSON_BODY, status=202, scope=AUTH),
+    Route("list_shards", "GET", "/v1/shards", lambda service: _stamped(
+        {"shards": service.list_shards()}), scope=AUTH, idempotent=True),
+    Route("shard_status", "GET", "/v1/shards/{shard_id}",
+          lambda service, shard_id:
+          _stamped(service.shard_status(shard_id)),
+          missing="unknown_shard", scope=AUTH, idempotent=True),
+    Route("cancel_shard", "POST", "/v1/shards/{shard_id}/cancel",
+          lambda service, shard_id:
+          _stamped(service.cancel_shard(shard_id)),
+          missing="unknown_shard", scope=AUTH),
+    Route("shard_stream", "GET", "/v1/shards/{shard_id}/stream.ndjson",
+          _shard_tail, query=(("offset", int),), response=TAIL,
+          missing="unknown_shard", scope=AUTH, idempotent=True),
+    # -- content-addressed blobs
+    Route("missing_blobs", "POST", "/v1/blobs/missing",
+          lambda service, body: _stamped(
+              {"missing": service.missing_blobs(body)}),
+          body=JSON_BODY, decode=_digests, scope=AUTH),
+    Route("get_blob", "GET", "/v1/blobs/{digest}", _read_blob,
+          response=BYTES, missing="unknown_blob", scope=AUTH,
+          idempotent=True),
+    Route("put_blob", "PUT", "/v1/blobs/{digest}",
+          lambda service, digest, body, tenant: _stamped({
+              "digest": service.put_blob(digest, body, tenant=tenant),
+              "size": len(body)}),
+          body=RAW_BODY),
+    # -- worker fleet registry
+    Route("register_worker", "POST", "/v1/workers/register",
+          lambda service, body: _stamped(service.register_worker(body)),
+          body=JSON_BODY, scope=AUTH),
+    Route("list_workers", "GET", "/v1/workers", lambda service: _stamped(
+        {"workers": service.list_workers()}), scope=AUTH, idempotent=True),
+    Route("worker_heartbeat", "POST", "/v1/workers/{worker_id}/heartbeat",
+          lambda service, worker_id, body: _stamped(
+              service.worker_heartbeat(worker_id, body)),
+          body=OPTIONAL_JSON, decode=lambda payload: payload.get("load"),
+          missing="unknown_worker", scope=AUTH),
+    # -- cross-campaign statistics
+    Route("stats_campaigns", "GET", "/v1/stats/campaigns",
+          lambda service, tenant: _stamped(
+              {"campaigns": service.stats_campaigns(tenant=tenant)}),
+          idempotent=True),
+    Route("stats_aggregate", "GET", "/v1/stats/aggregate",
+          lambda service, tenant, **filters: _stamped(
+              service.stats_aggregate(tenant=tenant, **filters)),
+          query=(("campaign", str), ("spec", str), ("file", str),
+                 ("component", str), ("confidence", float)),
+          idempotent=True),
+)
 
-    def missing_blobs(self, payload: dict) -> dict:
-        """The batched have/have-not probe (``POST /v1/blobs/missing``):
-        answers which of the asked digests this host lacks, so a
-        dispatcher uploads only those."""
-        if (not isinstance(payload, dict)
-                or not isinstance(payload.get("digests"), list)):
-            raise APIError(
-                "invalid_request",
-                'payload must be an object with a "digests" list',
-            )
-        try:
-            missing = self.service.missing_blobs(payload["digests"])
-        except ValueError as error:
-            raise APIError("invalid_request", str(error)) from None
-        return {"missing": missing, "api_version": API_VERSION}
-
-    # -- worker fleet registry ---------------------------------------------------
-
-    def register_worker(self, payload: dict) -> dict:
-        """Grant a worker lease (``POST /v1/workers/register``)."""
-        if not isinstance(payload, dict):
-            raise APIError("invalid_request",
-                           "worker registration must be a JSON object")
-        try:
-            view = self.service.register_worker(payload)
-        except ValueError as error:
-            raise APIError("invalid_request", str(error)) from None
-        return {**view, "api_version": API_VERSION}
-
-    def worker_heartbeat(self, worker_id: str, payload: dict) -> dict:
-        """Refresh a worker lease
-        (``POST /v1/workers/{id}/heartbeat``); the body optionally
-        carries the worker's live ``load``."""
-        from repro.service.registry import LeaseExpiredError
-
-        load = payload.get("load") if isinstance(payload, dict) else None
-        try:
-            view = self.service.worker_heartbeat(worker_id, load)
-        except KeyError:
-            raise APIError("unknown_worker",
-                           f"unknown worker {worker_id!r}") from None
-        except LeaseExpiredError as error:
-            raise APIError("lease_expired", str(error)) from None
-        except ValueError as error:
-            raise APIError("invalid_request", str(error)) from None
-        return {**view, "api_version": API_VERSION}
-
-    def list_workers(self) -> dict:
-        """The fleet view (``GET /v1/workers``), lease states swept."""
-        return {"workers": self.service.list_workers(),
-                "api_version": API_VERSION}
-
-    # -- cross-campaign statistics ------------------------------------------------
-
-    def stats_campaigns(self, tenant: str | None = None) -> dict:
-        """Indexed campaigns in the (tenant's) statistical result store
-        (``GET /v1/stats/campaigns``)."""
-        return {"campaigns": self.service.stats_campaigns(tenant=tenant),
-                "api_version": API_VERSION}
-
-    def stats_aggregate(self, campaign: str | None = None,
-                        spec: str | None = None,
-                        file: str | None = None,
-                        component: str | None = None,
-                        confidence: float | None = None,
-                        tenant: str | None = None) -> dict:
-        """Per-mode counts and Wilson estimates across stored campaigns
-        (``GET /v1/stats/aggregate``), filterable by campaign name and
-        injection-point spec/file/component."""
-        try:
-            report = self.service.stats_aggregate(
-                campaign=campaign, spec=spec, file=file,
-                component=component,
-                confidence=0.95 if confidence is None else confidence,
-                tenant=tenant,
-            )
-        except ValueError as error:
-            raise APIError("invalid_request", str(error)) from None
-        return {**report, "api_version": API_VERSION}
-
-    def generate_regression_tests(self, job_id: str,
-                                  tenant: str | None = None) -> dict:
-        """Generate regression tests server-side and return their
-        sources (the client materializes them wherever it wants)."""
-        job = self._job(job_id, tenant)
-        dest = self.service._job_dir(job) / "regression_tests"
-        try:
-            written = self.service.generate_regression_tests(
-                job.job_id, dest, tenant=tenant)
-        except FileNotFoundError as error:
-            raise APIError("missing_artifact", str(error)) from None
-        return {
-            "tests": [
-                {"filename": path.name,
-                 "content": path.read_text(encoding="utf-8")}
-                for path in written
-            ],
-            "api_version": API_VERSION,
-        }
+#: The rows by name (the client's lookup).
+ROUTE = {route.name: route for route in ROUTES}

@@ -59,6 +59,9 @@ from repro.orchestrator.experiment import (
 )
 from repro.service.api import (
     API_VERSION,
+    JSON,
+    ROUTE,
+    TEXT,
     APIError,
     ExperimentPage,
     JobView,
@@ -85,10 +88,11 @@ class TransportError(ConnectionError):
     """
 
 
-#: Default retry for idempotent GETs: a couple of quick, jittered
-#: retries smooth over connection blips without masking a dead server
-#: for long.  Writes (POST/PUT) never retry at the transport layer —
-#: ``POST /v1/shards`` in particular must stay exactly-once on the wire.
+#: Default retry for idempotent rows (the GETs): a couple of quick,
+#: jittered retries smooth over connection blips without masking a dead
+#: server for long.  Writes (POST/PUT) never retry at the transport
+#: layer — a shard submission in particular must stay exactly-once on
+#: the wire.
 DEFAULT_GET_RETRY = RetryPolicy(attempts=3, base_delay=0.05,
                                 max_delay=0.5, jitter=0.25)
 
@@ -111,34 +115,42 @@ class ProFIPyClient:
 
     # -- transport ---------------------------------------------------------------
 
-    def _request(self, method: str, path: str,
-                 payload: dict | bytes | None = None,
-                 timeout: float | None = None) -> tuple[int, bytes, str]:
-        body = None
+    def _call(self, name: str, *path_args, query: dict | None = None,
+              body: dict | bytes | None = None,
+              timeout: float | None = None):
+        """One request through the ``ROUTES`` row ``name``: the path and
+        query string come from the row, and only idempotent rows retry.
+        Returns the decoded JSON object, the text, or the raw bytes —
+        whichever the row's response kind is."""
+        route = ROUTE[name]
+        path = route.url(*path_args, query=query)
         headers = {"Accept": "application/json"}
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
-        if isinstance(payload, bytes):
+        if isinstance(body, bytes):
             # Raw-body endpoints (blob uploads) ship the bytes verbatim.
-            body = payload
             headers["Content-Type"] = "application/octet-stream"
-        elif payload is not None:
-            body = json.dumps(payload).encode("utf-8")
+        elif body is not None:
+            body = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
         request_timeout = timeout or self.timeout
-        # Only idempotent GETs (status, stream tails, listings) retry:
+        # Only idempotent rows (status, stream tails, listings) retry:
         # a retried non-idempotent write could double-execute server
         # side — a resubmitted shard, a duplicate campaign.
-        policy = self.retry_policy if method == "GET" else None
-        if policy is None:
-            return self._send(method, path, body, headers, request_timeout)
-        return retry_call(
-            lambda attempt_timeout: self._send(
-                method, path, body, headers,
-                attempt_timeout or request_timeout,
-            ),
-            policy=policy, retry_on=(TransportError,),
-        )
+        def attempt(attempt_timeout=None):
+            return self._send(route.method, path, body, headers,
+                              attempt_timeout or request_timeout)
+
+        if route.idempotent and self.retry_policy is not None:
+            _status, raw, _ctype = retry_call(
+                attempt, policy=self.retry_policy, retry_on=(TransportError,))
+        else:
+            _status, raw, _ctype = attempt()
+        if route.response == JSON:
+            return json.loads(raw.decode("utf-8"))
+        if route.response == TEXT:
+            return raw.decode("utf-8")
+        return raw
 
     def _send(self, method: str, path: str, body: bytes | None,
               headers: dict, timeout: float) -> tuple[int, bytes, str]:
@@ -173,15 +185,9 @@ class ProFIPyClient:
                 f"{method} {url}: {type(error).__name__}: {error}"
             ) from error
 
-    def _json(self, method: str, path: str, payload: dict | None = None,
-              timeout: float | None = None) -> dict:
-        _status, raw, _ctype = self._request(method, path, payload,
-                                             timeout=timeout)
-        return json.loads(raw.decode("utf-8"))
-
     def ping(self) -> dict:
         """Server identity and API version (connectivity check)."""
-        info = self._json("GET", "/v1/ping")
+        info = self._call("ping")
         if info.get("api_version") != API_VERSION:
             raise APIError(
                 "invalid_request",
@@ -195,8 +201,7 @@ class ProFIPyClient:
     def save_model(self, model: FaultModel) -> Path:
         """Store a fault model in the server's registry; returns the
         *server-side* path of the stored JSON."""
-        result = self._json("PUT", f"/v1/models/{model.name}",
-                            model.to_dict())
+        result = self._call("save_model", model.name, body=model.to_dict())
         return Path(result["path"])
 
     def import_model(self, path: str | Path) -> FaultModel:
@@ -208,12 +213,12 @@ class ProFIPyClient:
     def load_model(self, name: str) -> FaultModel:
         """A stored model by name, falling back to the pre-defined ones
         (resolved server-side, exactly like the in-process facade)."""
-        return FaultModel.from_dict(self._json("GET", f"/v1/models/{name}"))
+        return FaultModel.from_dict(self._call("load_model", name))
 
     def list_models(self) -> list[str]:
         """Every loadable model name — stored **and** pre-defined —
         mirroring :meth:`ProFIPyService.list_models`."""
-        result = self._json("GET", "/v1/models")
+        result = self._call("list_models")
         merged = result.get("models")
         if merged is None:
             # Pre-tenancy servers sent only the split lists.
@@ -224,7 +229,7 @@ class ProFIPyClient:
     def stored_models(self) -> list[str]:
         """Names of models stored in the server-side registry (the
         pre-defined ones are not listed here, but always loadable)."""
-        return list(self._json("GET", "/v1/models")["stored"])
+        return list(self._call("list_models")["stored"])
 
     # -- campaign submission -----------------------------------------------------
 
@@ -252,7 +257,7 @@ class ProFIPyClient:
             "resume_from": resume_from,
             "block": False,
         }
-        job = self._to_job(self._json("POST", "/v1/campaigns", payload))
+        job = self._to_job(self._call("submit_campaign", body=payload))
         if block:
             return self.wait(job.job_id)
         return job
@@ -260,7 +265,7 @@ class ProFIPyClient:
     def job(self, job_id: str) -> Job:
         """One job's lifecycle view; ``job.progress`` carries the live
         shard-aware progress snapshot while the campaign runs."""
-        return self._to_job(self._json("GET", f"/v1/jobs/{job_id}"))
+        return self._to_job(self._call("job", job_id))
 
     def job_progress(self, job_id: str) -> dict | None:
         """The job's latest progress snapshot (mirrors
@@ -269,7 +274,7 @@ class ProFIPyClient:
 
     def list_jobs(self) -> list[Job]:
         return [self._to_job(view)
-                for view in self._json("GET", "/v1/jobs")["jobs"]]
+                for view in self._call("list_jobs")["jobs"]]
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until the job finishes (long-polling) and return it.
@@ -289,10 +294,9 @@ class ProFIPyClient:
             poll = WAIT_POLL_SECONDS if remaining is None \
                 else min(WAIT_POLL_SECONDS, max(remaining, 0.05))
             try:
-                view = self._json(
-                    "GET", f"/v1/jobs/{job_id}/wait?timeout={poll:g}",
-                    timeout=poll + self.timeout,
-                )
+                view = self._call("wait", job_id,
+                                  query={"timeout": f"{poll:g}"},
+                                  timeout=poll + self.timeout)
             except TimeoutError:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise
@@ -301,18 +305,15 @@ class ProFIPyClient:
 
     def cancel(self, job_id: str) -> Job:
         """Request cancellation of a queued or running job (idempotent)."""
-        return self._to_job(self._json("POST", f"/v1/jobs/{job_id}/cancel"))
+        return self._to_job(self._call("cancel", job_id))
 
     # -- results ---------------------------------------------------------------------
 
     def report_text(self, job_id: str) -> str:
-        _status, raw, _ctype = self._request(
-            "GET", f"/v1/jobs/{job_id}/report"
-        )
-        return raw.decode("utf-8")
+        return self._call("report_text", job_id)
 
     def result_summary(self, job_id: str) -> dict:
-        return self._json("GET", f"/v1/jobs/{job_id}/summary")
+        return self._call("result_summary", job_id)
 
     def experiments(self, job_id: str) -> list[ExperimentResult]:
         """Recorded experiments of a job, sorted by experiment id.
@@ -324,9 +325,7 @@ class ProFIPyClient:
         """
         from repro.orchestrator.stream import latest_entries
 
-        _status, raw, _ctype = self._request(
-            "GET", f"/v1/jobs/{job_id}/experiments.ndjson"
-        )
+        raw = self._call("experiments", job_id)
         entries = latest_entries(raw.decode("utf-8").splitlines())
         return sorted(
             (ExperimentResult.from_dict(entry)
@@ -338,9 +337,9 @@ class ProFIPyClient:
                          limit: int = 100) -> ExperimentPage:
         """One page of experiment dicts (the paginated JSON endpoint,
         for UIs that render incrementally)."""
-        return ExperimentPage.from_dict(self._json(
-            "GET",
-            f"/v1/jobs/{job_id}/experiments?offset={offset}&limit={limit}",
+        return ExperimentPage.from_dict(self._call(
+            "experiments_page", job_id,
+            query={"offset": offset, "limit": limit},
         ))
 
     def recorded_ids(self, job_id: str) -> set[str]:
@@ -355,93 +354,84 @@ class ProFIPyClient:
     # -- remote-backend worker endpoints ----------------------------------------
 
     def submit_shard(self, payload: dict) -> dict:
-        """Dispatch one shard payload to this worker host
-        (``POST /v1/shards``); returns the shard's status view (carrying
-        the worker-assigned ``shard_id``).  Mirrors
+        """Dispatch one shard payload to this worker host; returns the
+        shard's status view (carrying the worker-assigned ``shard_id``).  Mirrors
         :meth:`ProFIPyService.submit_shard` — a malformed payload raises
         ``ValueError``."""
-        return self._json("POST", "/v1/shards", payload)
+        return self._call("submit_shard", body=payload)
 
     def shard_status(self, shard_id: str) -> dict:
         """The shard's ``{state, total, recorded, cancelled, error}``
         status view; raises ``KeyError`` for an unknown shard (e.g. a
         worker that restarted and forgot it)."""
-        return self._json("GET", f"/v1/shards/{shard_id}")
+        return self._call("shard_status", shard_id)
 
     def list_shards(self) -> list[dict]:
         """Status views of every shard this worker accepted."""
-        return list(self._json("GET", "/v1/shards")["shards"])
+        return list(self._call("list_shards")["shards"])
 
     def cancel_shard(self, shard_id: str) -> dict:
         """Request cooperative cancellation of a running shard
         (idempotent); the worker observes it between experiments."""
-        return self._json("POST", f"/v1/shards/{shard_id}/cancel")
+        return self._call("cancel_shard", shard_id)
 
     def shard_stream(self, shard_id: str, offset: int = 0) -> bytes:
         """The shard stream's newline-aligned NDJSON tail from byte
         ``offset``.  Only complete records are returned, so the caller
         may append the bytes verbatim to a local mirror and poll again
         at ``offset + len(returned)``."""
-        _status, raw, _ctype = self._request(
-            "GET", f"/v1/shards/{shard_id}/stream.ndjson?offset={int(offset)}"
-        )
-        return raw
+        return self._call("shard_stream", shard_id,
+                          query={"offset": int(offset)})
 
     # -- content-addressed blobs --------------------------------------------------
 
     def get_blob(self, digest: str) -> bytes:
-        """One blob's raw content (``GET /v1/blobs/{digest}``); raises
-        ``KeyError`` for a blob the host lacks (``unknown_blob``),
+        """One blob's raw content; raises ``KeyError`` for a blob the
+        host lacks (``unknown_blob``),
         mirroring :meth:`ProFIPyService.blob_path` + read."""
-        _status, raw, _ctype = self._request("GET", f"/v1/blobs/{digest}")
-        return raw
+        return self._call("get_blob", digest)
 
     def put_blob(self, digest: str, data: bytes) -> dict:
-        """Upload one content-addressed blob (``PUT /v1/blobs/{digest}``,
-        raw body).  Idempotent — re-putting a stored blob is a no-op —
+        """Upload one content-addressed blob (raw body).  Idempotent — re-putting a stored blob is a no-op —
         and verified: content that does not hash to ``digest`` raises
         ``ValueError``.  Safe to retry despite being a write, but the
         transport keeps its no-retry-on-writes policy for uniformity."""
-        return self._json("PUT", f"/v1/blobs/{digest}", data)
+        return self._call("put_blob", digest, body=data)
 
     def missing_blobs(self, digests) -> list[str]:
-        """Which of ``digests`` the host lacks
-        (``POST /v1/blobs/missing``) — upload exactly those before
-        submitting a manifest-bearing shard."""
-        result = self._json("POST", "/v1/blobs/missing",
-                            {"digests": sorted(set(digests))})
+        """Which of ``digests`` the host lacks — upload exactly those
+        before submitting a manifest-bearing shard."""
+        result = self._call("missing_blobs",
+                            body={"digests": sorted(set(digests))})
         return list(result["missing"])
 
     # -- worker registry (fleet membership) --------------------------------------
 
     def register_worker(self, payload: dict) -> dict:
-        """Join (or re-join) the coordinator's fleet
-        (``POST /v1/workers/register``); returns the lease view carrying
-        the coordinator-assigned ``worker_id`` and ``lease_seconds``.
+        """Join (or re-join) the coordinator's fleet; returns the lease
+        view carrying the coordinator-assigned ``worker_id`` and ``lease_seconds``.
         Mirrors :meth:`ProFIPyService.register_worker`."""
-        return self._json("POST", "/v1/workers/register", payload)
+        return self._call("register_worker", body=payload)
 
     def worker_heartbeat(self, worker_id: str, load: dict | None = None) -> dict:
-        """Renew the worker's lease, carrying its live load
-        (``POST /v1/workers/{id}/heartbeat``).  Raises ``KeyError`` for
+        """Renew the worker's lease, carrying its live load.  Raises ``KeyError`` for
         an id the coordinator never saw (``unknown_worker``) and
         :class:`~repro.service.registry.LeaseExpiredError` for an
         evicted or fenced lease (``lease_expired``) — the agent
         re-registers on either."""
-        return self._json(
-            "POST", f"/v1/workers/{worker_id}/heartbeat", {"load": load}
-        )
+        return self._call("worker_heartbeat", worker_id,
+                          body={"load": load})
 
     def list_workers(self) -> list[dict]:
         """The fleet as the coordinator sees it — one view per worker
         with ``state`` (alive/suspect/dead), live load, and lease age."""
-        return list(self._json("GET", "/v1/workers")["workers"])
+        return list(self._call("list_workers")["workers"])
 
     # -- cross-campaign statistics ---------------------------------------------
 
     def stats_campaigns(self) -> list[dict]:
         """Campaigns indexed in the server's statistical result store."""
-        return list(self._json("GET", "/v1/stats/campaigns")["campaigns"])
+        return list(self._call("stats_campaigns")["campaigns"])
 
     def stats_aggregate(self, campaign: str | None = None,
                         spec: str | None = None,
@@ -449,22 +439,15 @@ class ProFIPyClient:
                         component: str | None = None,
                         confidence: float | None = None) -> dict:
         """Per-failure-mode Wilson estimates across stored campaigns."""
-        from urllib.parse import urlencode
-
-        params = {key: value for key, value in (
-            ("campaign", campaign), ("spec", spec), ("file", file),
-            ("component", component), ("confidence", confidence),
-        ) if value is not None}
-        path = "/v1/stats/aggregate"
-        if params:
-            path += "?" + urlencode(params)
-        return self._json("GET", path)
+        return self._call("stats_aggregate", query={
+            "campaign": campaign, "spec": spec, "file": file,
+            "component": component, "confidence": confidence})
 
     def generate_regression_tests(self, job_id: str,
                                   dest_dir: str | Path) -> list[Path]:
         """Generate regression tests server-side and materialize them
         locally under ``dest_dir``; returns the local paths."""
-        result = self._json("POST", f"/v1/jobs/{job_id}/regression-tests")
+        result = self._call("generate_regression_tests", job_id)
         dest_dir = Path(dest_dir)
         dest_dir.mkdir(parents=True, exist_ok=True)
         written = []

@@ -1,38 +1,16 @@
 """Stdlib HTTP transport for the versioned service API (``/v1``).
 
-A :class:`ThreadingHTTPServer` mounting :class:`repro.service.api.ServiceAPI`
-— the same core the in-process :class:`ProFIPyService` facade uses — so a
-campaign submitted over the wire behaves byte-identically to one
-submitted in-process.  Started from the CLI via ``profipy serve``.
-
-Endpoints (see ``docs/SERVICE_API.md`` for the full table)::
-
-    GET  /v1/ping
-    GET  /v1/models                         PUT /v1/models/{name}
-    GET  /v1/models/{name}
-    POST /v1/campaigns                      # submit (supports resume_from)
-    GET  /v1/jobs                           GET /v1/jobs/{id}
-                                            # job views carry shard-aware
-                                            # "progress" while running
-    POST /v1/jobs/{id}/cancel               GET /v1/jobs/{id}/wait?timeout=S
-    GET  /v1/jobs/{id}/summary              GET /v1/jobs/{id}/report
-    GET  /v1/jobs/{id}/experiments?offset=N&limit=M
-    GET  /v1/jobs/{id}/experiments.ndjson   # streams experiments.jsonl
-    POST /v1/jobs/{id}/regression-tests
-    POST /v1/shards                         # worker role: accept a shard
-    GET  /v1/shards                         # accepted shards (operator)
-    GET  /v1/shards/{id}                    # shard status/progress
-    POST /v1/shards/{id}/cancel             # cooperative shard cancel
-    GET  /v1/shards/{id}/stream.ndjson?offset=N   # newline-aligned tail
-    GET  /v1/blobs/{digest}                 # raw content-addressed blob
-    PUT  /v1/blobs/{digest}                 # upload one blob (raw body)
-    POST /v1/blobs/missing                  # which digests this host lacks
-    POST /v1/workers/register               # join the worker fleet
-    POST /v1/workers/{id}/heartbeat         # renew lease, report load
-    GET  /v1/workers                        # fleet view (lease states)
+A :class:`ThreadingHTTPServer` that dispatches every request through
+the route table :data:`repro.service.api.ROUTES` onto the same
+:class:`ProFIPyService` core the in-process facade uses — so a campaign
+submitted over the wire behaves byte-identically to one submitted
+in-process.  Started from the CLI via ``profipy serve``; the endpoint
+list is ``ROUTES`` (documented in ``docs/SERVICE_API.md``).
 
 Errors are JSON bodies ``{"error": {"code": ..., "message": ...}}`` with
-the HTTP status fixed per code (:data:`repro.service.api.ERROR_STATUS`).
+the HTTP status fixed per code (:data:`repro.service.api.ERROR_STATUS`);
+a known path with an unlisted method answers ``method_not_allowed``
+with an ``Allow`` header, an unknown path ``not_found``.
 ``/v1/jobs/{id}/wait`` long-polls: the handler thread blocks (bounded to
 ``MAX_WAIT_SECONDS`` per request) and answers 408/``timeout`` when the
 job is still running, so clients loop without busy-polling.  The NDJSON
@@ -52,13 +30,30 @@ directory configured the server is the original open single-user API.
 from __future__ import annotations
 
 import json
-import re
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from repro.service.api import API_VERSION, APIError, ServiceAPI
+from repro.service.api import (
+    API_VERSION,
+    BYTES,
+    DECODE_ERRORS,
+    FILE,
+    JSON,
+    NO_BODY,
+    OPEN,
+    OPTIONAL_JSON,
+    RAW_BODY,
+    TAIL,
+    TENANT,
+    TEXT,
+    APIError,
+    Route,
+    call_error,
+    resolve,
+)
 from repro.service.service import ProFIPyService
 from repro.service.tenants import (
     DEFAULT_TENANT,
@@ -72,90 +67,63 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _STREAM_CHUNK = 64 * 1024
 
-#: (method, compiled path pattern, handler name) routing table.
-_ROUTES: list[tuple[str, re.Pattern, str]] = [
-    ("GET", re.compile(r"/v1/ping$"), "_route_ping"),
-    ("GET", re.compile(r"/v1/models$"), "_route_list_models"),
-    ("GET", re.compile(r"/v1/models/(?P<name>[^/]+)$"), "_route_get_model"),
-    ("PUT", re.compile(r"/v1/models/(?P<name>[^/]+)$"), "_route_put_model"),
-    ("POST", re.compile(r"/v1/campaigns$"), "_route_submit_campaign"),
-    ("GET", re.compile(r"/v1/jobs$"), "_route_list_jobs"),
-    ("GET", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)$"), "_route_get_job"),
-    ("POST", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/cancel$"),
-     "_route_cancel_job"),
-    ("GET", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/wait$"),
-     "_route_wait_job"),
-    ("GET", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/summary$"),
-     "_route_job_summary"),
-    ("GET", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/report$"),
-     "_route_job_report"),
-    ("GET", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/experiments$"),
-     "_route_job_experiments"),
-    ("GET", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/experiments\.ndjson$"),
-     "_route_job_experiments_ndjson"),
-    ("POST", re.compile(r"/v1/jobs/(?P<job_id>[^/]+)/regression-tests$"),
-     "_route_regression_tests"),
-    ("POST", re.compile(r"/v1/shards$"), "_route_submit_shard"),
-    ("GET", re.compile(r"/v1/shards$"), "_route_list_shards"),
-    ("GET", re.compile(r"/v1/shards/(?P<shard_id>[^/]+)$"),
-     "_route_get_shard"),
-    ("POST", re.compile(r"/v1/shards/(?P<shard_id>[^/]+)/cancel$"),
-     "_route_cancel_shard"),
-    ("GET", re.compile(r"/v1/shards/(?P<shard_id>[^/]+)/stream\.ndjson$"),
-     "_route_shard_stream"),
-    ("POST", re.compile(r"/v1/blobs/missing$"), "_route_missing_blobs"),
-    ("GET", re.compile(r"/v1/blobs/(?P<digest>[^/]+)$"), "_route_get_blob"),
-    ("PUT", re.compile(r"/v1/blobs/(?P<digest>[^/]+)$"), "_route_put_blob"),
-    ("POST", re.compile(r"/v1/workers/register$"), "_route_register_worker"),
-    ("GET", re.compile(r"/v1/workers$"), "_route_list_workers"),
-    ("POST", re.compile(r"/v1/workers/(?P<worker_id>[^/]+)/heartbeat$"),
-     "_route_worker_heartbeat"),
-    ("GET", re.compile(r"/v1/stats/campaigns$"), "_route_stats_campaigns"),
-    ("GET", re.compile(r"/v1/stats/aggregate$"), "_route_stats_aggregate"),
-]
+_CONTENT_TYPES = {JSON: "application/json; charset=utf-8",
+                  TEXT: "text/plain; charset=utf-8",
+                  FILE: "application/x-ndjson",
+                  TAIL: "application/x-ndjson",
+                  BYTES: "application/octet-stream"}
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes ``/v1`` requests onto the shared :class:`ServiceAPI`."""
+    """Serves ``/v1`` requests from the route table."""
 
     server_version = f"ProFIPy/{API_VERSION}"
     protocol_version = "HTTP/1.1"
 
-    @property
-    def api(self) -> ServiceAPI:
-        return self.server.api  # type: ignore[attr-defined]
+    def __getattr__(self, name: str):
+        # BaseHTTPRequestHandler looks up ``do_<METHOD>`` and answers an
+        # HTML 501 when it is missing; every method goes through the
+        # table instead, so an unlisted one answers JSON 405/404.
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass  # request logging is the embedding application's business
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
         parsed = urlparse(self.path)
         self._response_started = False
         self._tenant = DEFAULT_TENANT
         try:
-            self._authenticate(parsed.path)
-            allowed: list[str] = []
-            for route_method, pattern, handler_name in _ROUTES:
-                match = pattern.fullmatch(parsed.path)
-                if match is None:
-                    continue
-                if route_method != method:
-                    allowed.append(route_method)
-                    continue
-                query = parse_qs(parsed.query)
-                getattr(self, handler_name)(match, query)
-                return
-            if allowed:
+            route, params, allowed = resolve(self.command, parsed.path)
+            if route is None or route.scope != OPEN:
+                self._authenticate()
+            if route is None and allowed:
                 error = APIError(
                     "method_not_allowed",
-                    f"{method} not allowed on {parsed.path} "
-                    f"(allowed: {', '.join(sorted(set(allowed)))})",
+                    f"{self.command} not allowed on {parsed.path} "
+                    f"(allowed: {', '.join(allowed)})",
                 )
-                error.allow = sorted(set(allowed))
+                error.allow = allowed
                 raise error
-            raise APIError(
-                "not_found", f"no such endpoint: {method} {parsed.path} "
-                f"(API version {API_VERSION})"
-            )
+            if route is None:
+                raise APIError(
+                    "not_found", f"no such endpoint: {self.command} "
+                    f"{parsed.path} (API version {API_VERSION})"
+                )
+            arguments = self._arguments(route, params,
+                                        parse_qs(parsed.query))
+            try:
+                result = route.call(self.server.service, **arguments)
+            except Exception as error:  # noqa: BLE001 - translated below
+                translated = call_error(route, error)
+                if translated is None:
+                    raise
+                raise translated from None
+            self._respond(route, result)
         except APIError as error:
             self._send_error(error)
         except ConnectionError:  # client went away mid-response
@@ -165,19 +133,36 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 "internal", f"{type(error).__name__}: {error}"
             ))
 
-    def _authenticate(self, path: str) -> None:
+    def _arguments(self, route: Route, params: dict, query: dict) -> dict:
+        """The operation's keyword arguments; anything malformed about
+        the query or body answers ``invalid_request``."""
+        arguments = dict(params)
+        try:
+            for key, cast in route.query:
+                if query.get(key):
+                    arguments[key] = cast(query[key][-1])
+            if route.body != NO_BODY:
+                body = self._read_body(route.body)
+                arguments["body"] = (route.decode(body) if route.decode
+                                     else body)
+        except DECODE_ERRORS as error:
+            raise APIError(
+                "invalid_request", f"malformed {route.method} "
+                f"{route.path} request: {type(error).__name__}: {error}"
+            ) from None
+        if route.scope == TENANT:
+            arguments["tenant"] = self._tenant
+        return arguments
+
+    def _authenticate(self) -> None:
         """Resolve the request's tenant (and spend a rate-limit token).
 
         No tenant directory → the open single-user API: every caller is
-        the default tenant.  With a directory, ``GET /v1/ping`` stays
-        open (health probes have no credentials); everything else needs
-        a bearer token that maps to a configured tenant.  Auth and
-        rate-limit failures leave the request body unread, so the
-        connection must close — a keep-alive socket with a pending body
-        would corrupt the next request's framing.
+        the default tenant.  With a directory, everything but the open
+        rows needs a bearer token that maps to a configured tenant.
         """
         directory = self.server.tenants  # type: ignore[attr-defined]
-        if directory is None or path == "/v1/ping":
+        if directory is None:
             return
         header = self.headers.get("Authorization") or ""
         token = None
@@ -186,11 +171,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             self._tenant = directory.authenticate(token)
         except AuthenticationError as error:
-            self.close_connection = True
             raise APIError("unauthorized", str(error)) from None
         bucket = self.server.bucket_for(self._tenant)  # type: ignore[attr-defined]
         if bucket is not None and not bucket.try_acquire():
-            self.close_connection = True
             raise APIError(
                 "quota_exceeded",
                 f"tenant {self._tenant!r} exceeded its request rate "
@@ -198,31 +181,23 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             )
 
     def _send_error(self, error: APIError) -> None:
+        # A rejected request may leave its body unread, and a keep-alive
+        # socket with pending bytes would corrupt the next request's
+        # framing: every error response closes the connection.
+        self.close_connection = True
         if self._response_started:
             # Headers (and possibly part of a streamed body) are already
             # on the wire; injecting a second response would corrupt the
             # HTTP framing.  Dropping the connection is the only honest
             # signal left.
-            self.close_connection = True
             return
         headers = {}
         if getattr(error, "allow", None):
             headers["Allow"] = ", ".join(error.allow)
-        self._send_json(error.http_status, error.to_dict(), headers=headers)
+        self._send_body(error.http_status, _json_bytes(error.to_dict()),
+                        _CONTENT_TYPES[JSON], headers=headers)
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # request logging is the embedding application's business
-
-    # -- helpers -----------------------------------------------------------------
+    # -- request bodies ----------------------------------------------------------
 
     def _read_raw(self) -> bytes:
         """The request body verbatim (blob uploads are raw bytes, not
@@ -233,9 +208,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         ``ValueError`` (a 500 for a client mistake), and a *negative*
         value sailed past the upper-bound check and turned into
         ``rfile.read(-5)`` — read-to-EOF, defeating the body bound
-        entirely.  Both now answer 400/``invalid_request``.  Every
-        rejection closes the connection: the body was never read, and
-        a keep-alive socket with unread bytes would desync framing.
+        entirely.  Both answer 400/``invalid_request``.
         """
         header = self.headers.get("Content-Length")
         if header is None or not header.strip():
@@ -243,30 +216,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(header.strip())
         except ValueError:
-            self.close_connection = True
             raise APIError(
                 "invalid_request",
                 f"malformed Content-Length header: {header.strip()!r}",
             ) from None
         if length < 0:
-            self.close_connection = True
             raise APIError("invalid_request",
                            f"negative Content-Length: {length}")
         if length > MAX_BODY_BYTES:
-            self.close_connection = True
             raise APIError("invalid_request",
                            f"request body exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length) if length else b""
 
-    def _read_json(self, optional: bool = False) -> dict:
+    def _read_body(self, kind: str):
         raw = self._read_raw()
+        if kind == RAW_BODY:
+            return raw
         if not raw:
-            if optional:
+            if kind == OPTIONAL_JSON:
+                # A load-less heartbeat still renews the lease.
                 return {}
             raise APIError("invalid_request", "request body required")
         try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+            data = json.loads(raw.decode("utf-8"),
+                              parse_constant=_reject_constant,
+                              parse_float=_finite_float)
+        except (UnicodeDecodeError, ValueError, RecursionError):
             raise APIError("invalid_request",
                            "request body is not valid JSON") from None
         if not isinstance(data, dict):
@@ -274,26 +249,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                            "request body must be a JSON object")
         return data
 
-    def _query_number(self, query: dict, key: str, default, cast):
-        values = query.get(key)
-        if not values:
-            return default
-        try:
-            return cast(values[-1])
-        except ValueError:
-            raise APIError("invalid_request",
-                           f"query parameter {key!r} must be a number, "
-                           f"got {values[-1]!r}") from None
+    # -- responses ---------------------------------------------------------------
 
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict | None = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._send_body(status, body, "application/json; charset=utf-8",
-                        headers=headers)
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_body(status, text.encode("utf-8"),
-                        "text/plain; charset=utf-8")
+    def _respond(self, route: Route, result) -> None:
+        if route.response == FILE:
+            self._stream_file(route.status, result)
+            return
+        if route.response == JSON:
+            result = _json_bytes(result)
+        elif route.response == TEXT:
+            result = result.encode("utf-8")
+        self._send_body(route.status, result,
+                        _CONTENT_TYPES[route.response])
 
     def _send_body(self, status: int, body: bytes, content_type: str,
                    headers: dict | None = None) -> None:
@@ -306,83 +273,21 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    # -- routes ------------------------------------------------------------------
-
-    def _route_ping(self, _match, _query) -> None:
-        self._send_json(200, self.api.ping())
-
-    def _route_list_models(self, _match, _query) -> None:
-        self._send_json(200, self.api.list_models(tenant=self._tenant))
-
-    def _route_get_model(self, match, _query) -> None:
-        self._send_json(200, self.api.get_model(match.group("name"),
-                                                tenant=self._tenant))
-
-    def _route_put_model(self, match, _query) -> None:
-        payload = self._read_json()
-        self._send_json(200, self.api.put_model(match.group("name"), payload,
-                                                tenant=self._tenant))
-
-    def _route_submit_campaign(self, _match, _query) -> None:
-        payload = self._read_json()
-        self._send_json(202, self.api.submit_campaign(payload,
-                                                      tenant=self._tenant))
-
-    def _route_list_jobs(self, _match, _query) -> None:
-        self._send_json(200, self.api.list_jobs(tenant=self._tenant))
-
-    def _route_get_job(self, match, _query) -> None:
-        self._send_json(200, self.api.get_job(match.group("job_id"),
-                                              tenant=self._tenant))
-
-    def _route_cancel_job(self, match, _query) -> None:
-        self._send_json(200, self.api.cancel_job(match.group("job_id"),
-                                                 tenant=self._tenant))
-
-    def _route_wait_job(self, match, query) -> None:
-        timeout = self._query_number(query, "timeout", None, float)
-        self._send_json(200, self.api.wait_job(match.group("job_id"),
-                                               timeout,
-                                               tenant=self._tenant))
-
-    def _route_job_summary(self, match, _query) -> None:
-        self._send_json(200, self.api.job_summary(match.group("job_id"),
-                                                  tenant=self._tenant))
-
-    def _route_job_report(self, match, _query) -> None:
-        self._send_text(200, self.api.job_report(match.group("job_id"),
-                                                 tenant=self._tenant))
-
-    def _route_job_experiments(self, match, query) -> None:
-        offset = self._query_number(query, "offset", 0, int)
-        limit = self._query_number(query, "limit", None, int)
-        from repro.service.api import DEFAULT_PAGE_LIMIT
-
-        self._send_json(200, self.api.job_experiments(
-            match.group("job_id"), offset=offset,
-            limit=DEFAULT_PAGE_LIMIT if limit is None else limit,
-            tenant=self._tenant,
-        ))
-
-    def _route_job_experiments_ndjson(self, match, _query) -> None:
-        path = self.api.experiments_path(match.group("job_id"),
-                                         tenant=self._tenant)
-        if not path.exists():
-            # No experiments recorded yet — an empty stream, exactly as
-            # the in-process facade returns [] (transport equivalence).
-            self._send_body(200, b"", "application/x-ndjson")
-            return
-        size = path.stat().st_size
+    def _stream_file(self, status: int, path: Path) -> None:
+        """Stream a result file verbatim in chunks: the wire format IS
+        the on-disk format, and server memory stays constant no matter
+        how many experiments the campaign recorded.  The stream is
+        append-only, so reading up to the size advertised is safe even
+        while a campaign is still running.  A file not written yet is
+        an empty stream, exactly as the in-process facade returns []."""
+        size = path.stat().st_size if path.exists() else 0
         self._response_started = True
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_response(status)
+        self.send_header("Content-Type", _CONTENT_TYPES[FILE])
         self.send_header("Content-Length", str(size))
         self.end_headers()
-        # Stream the result file verbatim in chunks: the wire format IS
-        # the on-disk format, and server memory stays constant no matter
-        # how many experiments the campaign recorded.  The stream is
-        # append-only, so reading up to the size we advertised is safe
-        # even while a campaign is still running.
+        if not size:
+            return
         remaining = size
         with open(path, "rb") as handle:
             while remaining > 0:
@@ -392,112 +297,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self.wfile.write(chunk)
                 remaining -= len(chunk)
 
-    def _route_regression_tests(self, match, _query) -> None:
-        self._send_json(
-            200, self.api.generate_regression_tests(match.group("job_id"),
-                                                    tenant=self._tenant)
-        )
 
-    # -- remote-backend worker routes --------------------------------------------
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
 
-    def _route_submit_shard(self, _match, _query) -> None:
-        payload = self._read_json()
-        self._send_json(202, self.api.submit_shard(payload))
 
-    def _route_list_shards(self, _match, _query) -> None:
-        self._send_json(200, self.api.list_shards())
+def _finite_float(text: str) -> float:
+    # Standard JSON has no infinities, but Python reads 1e400 as one
+    # (and int(inf) deep in an operation is an OverflowError).
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
 
-    def _route_get_shard(self, match, _query) -> None:
-        self._send_json(200, self.api.get_shard(match.group("shard_id")))
 
-    def _route_cancel_shard(self, match, _query) -> None:
-        self._send_json(200,
-                        self.api.cancel_shard(match.group("shard_id")))
-
-    # -- content-addressed blob routes ---------------------------------------------
-
-    def _route_get_blob(self, match, _query) -> None:
-        """One blob's raw content — the wire format IS the stored file."""
-        path = self.api.blob_path(match.group("digest"))
-        try:
-            body = path.read_bytes()
-        except OSError:
-            # Evicted between the existence check and the read: to the
-            # client that is indistinguishable from never-stored.
-            raise APIError(
-                "unknown_blob", f"unknown blob {match.group('digest')!r}"
-            ) from None
-        self._send_body(200, body, "application/octet-stream")
-
-    def _route_put_blob(self, match, _query) -> None:
-        body = self._read_raw()
-        self._send_json(200, self.api.put_blob(match.group("digest"), body,
-                                               tenant=self._tenant))
-
-    def _route_missing_blobs(self, _match, _query) -> None:
-        self._send_json(200, self.api.missing_blobs(self._read_json()))
-
-    # -- worker fleet registry routes ---------------------------------------------
-
-    def _route_register_worker(self, _match, _query) -> None:
-        payload = self._read_json()
-        self._send_json(200, self.api.register_worker(payload))
-
-    def _route_list_workers(self, _match, _query) -> None:
-        self._send_json(200, self.api.list_workers())
-
-    def _route_worker_heartbeat(self, match, _query) -> None:
-        # The body is optional: a load-less heartbeat still renews the
-        # lease (minimal agents need not track load).
-        payload = self._read_json(optional=True)
-        self._send_json(200, self.api.worker_heartbeat(
-            match.group("worker_id"), payload
-        ))
-
-    def _route_stats_campaigns(self, _match, _query) -> None:
-        self._send_json(200, self.api.stats_campaigns(tenant=self._tenant))
-
-    def _route_stats_aggregate(self, _match, query) -> None:
-        def _text(key):
-            values = query.get(key)
-            return values[-1] if values else None
-
-        self._send_json(200, self.api.stats_aggregate(
-            campaign=_text("campaign"),
-            spec=_text("spec"),
-            file=_text("file"),
-            component=_text("component"),
-            confidence=self._query_number(query, "confidence", None, float),
-            tenant=self._tenant,
-        ))
-
-    def _route_shard_stream(self, match, query) -> None:
-        """The shard stream's newline-aligned tail from ``offset``.
-
-        Dispatchers poll this incrementally (``offset`` = bytes already
-        mirrored); the response is truncated at the last newline so a
-        read racing an in-flight append never ships half a record —
-        the next poll picks the completed line up.  The next offset is
-        simply ``offset + len(body)``.
-        """
-        offset = self._query_number(query, "offset", 0, int)
-        if offset < 0:
-            raise APIError("invalid_request",
-                           f"offset must be >= 0, got {offset}")
-        path = self.api.shard_stream_path(match.group("shard_id"))
-        try:
-            size = path.stat().st_size
-        except OSError:
-            # Nothing recorded yet: an empty tail, not an error.
-            self._send_body(200, b"", "application/x-ndjson")
-            return
-        start = min(offset, size)
-        with open(path, "rb") as handle:
-            handle.seek(start)
-            data = handle.read(size - start)
-        end = data.rfind(b"\n")
-        data = data[:end + 1] if end >= 0 else b""
-        self._send_body(200, data, "application/x-ndjson")
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
 class ProFIPyHTTPServer(ThreadingHTTPServer):
@@ -510,7 +325,6 @@ class ProFIPyHTTPServer(ThreadingHTTPServer):
                  service: ProFIPyService) -> None:
         super().__init__(address, ServiceRequestHandler)
         self.service = service
-        self.api = ServiceAPI(service)
         self.tenants = service.tenants
         self._buckets: dict[str, TokenBucket] = {}
         self._bucket_lock = threading.Lock()

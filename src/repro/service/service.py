@@ -216,10 +216,24 @@ class ProFIPyService:
 
     # -- fault model registry ------------------------------------------------
 
+    def _model_path(self, name: str, tenant: str | None) -> Path:
+        """Where the (tenant's) model ``name`` is stored.  A name is one
+        file name: empty, ``.``/``..``, a path separator, or NUL raise
+        ``ValueError`` — otherwise one tenant could write into another's
+        namespace — and so does a name over 200 bytes, which with the
+        ``.json`` suffix and the atomic write's temporary suffix would
+        pass the 255-byte file-name limit."""
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(char in name for char in "/\\\0")
+                or len(name.encode("utf-8", "replace")) > 200):
+            raise ValueError(f"invalid fault model name {name!r}: it must "
+                             "be one file name (no '/', '\\' or NUL)")
+        return self._models_dir(self._resolve(tenant)) / f"{name}.json"
+
     def save_model(self, model: FaultModel,
                    tenant: str | None = None) -> Path:
         """Store a fault model in the registry (overwrites same name)."""
-        path = self._models_dir(self._resolve(tenant)) / f"{model.name}.json"
+        path = self._model_path(model.name, tenant)
         model.save(path)
         return path
 
@@ -232,7 +246,7 @@ class ProFIPyService:
 
     def load_model(self, name: str, tenant: str | None = None) -> FaultModel:
         """A stored model by name, falling back to the pre-defined ones."""
-        path = self._models_dir(self._resolve(tenant)) / f"{name}.json"
+        path = self._model_path(name, tenant)
         if path.exists():
             return FaultModel.load(path)
         predefined = predefined_models()

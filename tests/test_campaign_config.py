@@ -56,6 +56,18 @@ class TestConfigValidation:
                 shards=0,
             )
 
+    @pytest.mark.parametrize("sampling", [5, [1], "all"])
+    def test_malformed_sampling_rejected(self, toy_project, toy_model,
+                                         toy_workload, sampling):
+        # Regression: a non-dict sampling block was kept as-is, so the
+        # service accepted the campaign and it failed at run time.
+        with pytest.raises(ValueError, match="sampling must be"):
+            CampaignConfig(
+                name="x", target_dir=toy_project,
+                fault_model=toy_model, workload=toy_workload,
+                sampling=sampling,
+            )
+
     def test_wire_round_trip_preserves_execution_policy(
             self, toy_project, toy_model, toy_workload):
         from repro.service.api import (

@@ -94,6 +94,20 @@ class TestModelRegistryContract:
         assert "custom" in facade.list_models()
         assert len(facade.load_model("custom").faults) == len(model.faults)
 
+    @pytest.mark.parametrize("name", ["my model", "a?b", "a#b", "café",
+                                      "a%41"])
+    def test_names_that_need_percent_encoding(self, tmp_path,
+                                              facade_factory, name):
+        # Regression: the client put path parameters into the URL raw,
+        # so these names failed over HTTP (InvalidURL, a name cut at
+        # '?'/'#', UnicodeEncodeError) while working in-process.
+        facade = facade_factory(tmp_path / "ws")
+        model = gswfit_model()
+        model.name = name
+        facade.save_model(model)
+        assert name in facade.stored_models()
+        assert facade.load_model(name).name == name
+
     def test_predefined_fallback(self, tmp_path, facade_factory):
         facade = facade_factory(tmp_path / "ws")
         assert facade.load_model("extended").name == "extended"

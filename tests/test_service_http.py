@@ -156,6 +156,158 @@ class TestRoutingAndErrors:
         assert body["error"]["code"] == "invalid_request"
 
 
+def send(server, method, path, body=None):
+    """A raw request; returns the status, headers, and JSON body."""
+    import http.client
+
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        connection.request(method, path, body=body,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, response.headers, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def campaign_body(tmp_path, **changes):
+    """A valid campaign submission (whose target does not exist), with
+    ``changes`` applied to its config; ``resume_from`` goes top-level."""
+    from repro.orchestrator.campaign import CampaignConfig
+    from repro.service.api import campaign_config_to_dict
+    from repro.workload.spec import WorkloadSpec
+
+    config = campaign_config_to_dict(CampaignConfig(
+        name="bad", target_dir=tmp_path / "no-such-target",
+        fault_model=gswfit_model(), workload=WorkloadSpec(commands=["true"]),
+    ))
+    body = {"config": config, "resume_from": changes.pop("resume_from",
+                                                         None)}
+    config.update(changes)
+    return json.dumps(body).encode()
+
+
+class TestMalformedBodies:
+    """Regression: bodies the old per-endpoint ``try`` blocks did not
+    anticipate answered 500 (or 202 and a job that failed at run time);
+    each answers 400/``invalid_request``."""
+
+    @pytest.mark.parametrize("case", [
+        "bad_dsl", "fault_model_not_object", "workload_not_object",
+        "resume_from_list", "sampling_number", "sampling_list",
+    ])
+    def test_malformed_body_is_invalid_request(self, stack, tmp_path, case):
+        _service, server, _client = stack
+        method, path = "POST", "/v1/campaigns"
+        if case == "bad_dsl":
+            model = gswfit_model().to_dict()
+            model["name"] = "x"
+            model["faults"][0]["dsl"] = "this is not a bug spec"
+            method, path, body = "PUT", "/v1/models/x", \
+                json.dumps(model).encode()
+        elif case == "fault_model_not_object":
+            body = campaign_body(tmp_path, fault_model="gswfit")
+        elif case == "workload_not_object":
+            body = campaign_body(tmp_path, workload=["true"])
+        elif case == "resume_from_list":
+            body = campaign_body(tmp_path, resume_from=["job-0001"])
+        elif case == "sampling_number":
+            body = campaign_body(tmp_path, sampling=5)
+        else:
+            body = campaign_body(tmp_path, sampling=[1])
+        status, _headers, payload = send(server, method, path, body)
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_request"
+
+    @pytest.mark.parametrize("shard", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_json_numbers_are_invalid_request(self, stack,
+                                                         shard):
+        # Python's json reads NaN, Infinity and 1e400 (as inf); standard
+        # JSON has none of them, and int(inf) in the shard host was an
+        # OverflowError, answered 500.
+        _service, server, _client = stack
+        body = ('{"shard": %s, "planned": [], "fault_model": {}, '
+                '"workload": null, "trigger": true, "rounds": 2, '
+                '"campaign_seed": 0, "parallelism": 1, "image": {}}' % shard)
+        status, _headers, payload = send(server, "POST", "/v1/shards",
+                                         body.encode())
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_request"
+
+
+class TestUnlistedMethods:
+    """Regression: methods without a ``do_*`` handler answered
+    BaseHTTPRequestHandler's HTML 501 page."""
+
+    @pytest.mark.parametrize("method", ["DELETE", "PATCH", "OPTIONS",
+                                        "TRACE"])
+    def test_known_path_is_405_with_allow(self, stack, method):
+        _service, server, _client = stack
+        status, headers, payload = send(server, method, "/v1/jobs")
+        assert status == 405
+        assert headers["Allow"] == "GET"
+        assert payload["error"]["code"] == "method_not_allowed"
+        status, headers, _payload = send(server, method, "/v1/blobs/ab")
+        assert headers["Allow"] == "GET, PUT"
+
+    @pytest.mark.parametrize("method", ["DELETE", "PATCH", "OPTIONS",
+                                        "TRACE"])
+    def test_unknown_path_is_not_found(self, stack, method):
+        _service, server, _client = stack
+        status, _headers, payload = send(server, method, "/v1/nope")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+
+
+class TestRouteTable:
+    def test_docs_endpoint_tables_match_routes(self):
+        import re
+        from pathlib import Path
+
+        from repro.service.api import ROUTES
+
+        docs = (Path(__file__).resolve().parents[1] / "docs"
+                / "SERVICE_API.md").read_text(encoding="utf-8")
+
+        def normalized(path):
+            return re.sub(r"\{\w+\}", "{}", path.split("?")[0])
+
+        documented = sorted(
+            (method, normalized(path)) for method, path in re.findall(
+                r"^\| (GET|POST|PUT|DELETE|PATCH) \| `(/v1/[^`]*)` \|",
+                docs, flags=re.M))
+        declared = sorted((route.method, normalized(route.path))
+                          for route in ROUTES)
+        assert documented == declared
+
+    def test_docs_error_table_matches_error_status(self):
+        import re
+        from pathlib import Path
+
+        from repro.service.api import ERROR_STATUS
+
+        docs = (Path(__file__).resolve().parents[1] / "docs"
+                / "SERVICE_API.md").read_text(encoding="utf-8")
+        documented = {code: int(status) for code, status in re.findall(
+            r"^\| `(\w+)` \| (\d{3}) \|", docs, flags=re.M)}
+        assert documented == ERROR_STATUS
+
+    def test_exactly_the_get_rows_are_retried(self):
+        from repro.service.api import ROUTES
+
+        assert [route.name for route in ROUTES if route.idempotent] == \
+            [route.name for route in ROUTES if route.method == "GET"]
+
+    def test_client_percent_encodes_path_parameters(self):
+        from repro.service.api import ROUTE
+
+        assert ROUTE["load_model"].url("a b/c?d#e") == \
+            "/v1/models/a%20b%2Fc%3Fd%23e"
+        assert ROUTE["wait"].url("job-1", query={"timeout": 2.5}) == \
+            "/v1/jobs/job-1/wait?timeout=2.5"
+
+
 class TestModelsOverHTTP:
     def test_model_round_trip(self, stack):
         _service, _server, client = stack

@@ -276,6 +276,23 @@ class TestServiceTenantNamespaces:
         assert bob.load_model("gswfit").name == "gswfit"
         service.close()
 
+    @pytest.mark.parametrize("name", ["../../bob/models/planted", "..",
+                                      ".", "", "a\\b", "a\0b", "x" * 201])
+    def test_model_name_cannot_leave_the_namespace(self, tmp_path, name):
+        # Regression: the model name became the file name verbatim, so
+        # alice could write tenants/bob/models/planted.json and bob's
+        # registry then listed it.
+        service = ProFIPyService(tmp_path / "ws")
+        model = gswfit_model()
+        model.name = name
+        with pytest.raises(ValueError, match="invalid fault model name"):
+            service.for_tenant("alice").save_model(model)
+        with pytest.raises(ValueError, match="invalid fault model name"):
+            service.for_tenant("alice").load_model(name)
+        assert "planted" not in service.for_tenant("bob").stored_models()
+        assert not list((tmp_path / "ws" / "tenants").rglob("planted*"))
+        service.close()
+
     def test_default_tenant_keeps_single_user_layout(self, tmp_path):
         service = ProFIPyService(tmp_path / "ws")
         model = gswfit_model()
@@ -374,6 +391,30 @@ class TestAuthOverHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 401
+
+    def test_encoded_traversal_in_model_name_is_invalid_request(
+            self, tenant_stack):
+        # Regression: with path parameters percent-decoded, only the
+        # model-name rule stops this PUT from writing into bob's
+        # namespace.
+        service, server, clients = tenant_stack
+        model = gswfit_model()
+        model.name = "../../bob/models/planted"
+        request = urllib.request.Request(
+            server.url + "/v1/models/..%2F..%2Fbob%2Fmodels%2Fplanted",
+            data=json.dumps(model.to_dict()).encode(), method="PUT",
+            headers={"Authorization": "Bearer alice-token",
+                     "Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["code"] == \
+            "invalid_request"
+        with pytest.raises(ValueError, match="invalid fault model name"):
+            clients["alice"].save_model(model)
+        assert "planted" not in clients["bob"].stored_models()
+        assert "planted" not in service.for_tenant("bob").stored_models()
 
     def test_rate_limit_answers_429(self, tenant_stack):
         _service, _server, clients = tenant_stack
