@@ -1,17 +1,18 @@
-"""RB1 — remote backend: HTTP shard-dispatch overhead vs ProcessBackend.
+"""RB1 — remote backend: auto-spawned loopback fleet vs pre-started workers.
 
-The remote backend replaces per-shard spawned processes with per-shard
-workers behind the ``/v1`` service API.  The question this bench answers
-for the paper's as-a-service claim: what does the HTTP hop — payload
-serialization, dispatch, status polling, stream mirroring, merge — cost
-over the process backend's spawn + IPC on the same host?
+Both sharded backends dispatch over the ``/v1`` service API: ``process``
+is the remote backend over loopback workers it spawns for each campaign
+(one process per non-empty shard), ``remote`` talks to workers that are
+already running.  The question this bench answers for the paper's
+as-a-service claim: what does a per-campaign worker fleet cost over a
+standing one, and what does one HTTP shard round-trip cost?
 
 Method: the same small campaign (bigger toy target, several shards) runs
 under ``process`` and under ``remote`` against live in-process worker
 servers; both produce byte-identical canonical experiments (asserted),
-so the wall-clock delta is pure dispatch/transport overhead.  Also
-measured: a single empty-ish shard round-trip (submit → poll → stream →
-merge path) as the metadata floor per shard.
+so the wall-clock delta is the fleet spawn (interpreter start, imports,
+server start).  Also measured: a single empty-ish shard round-trip
+(submit → poll → stream → merge path) as the metadata floor per shard.
 """
 
 import textwrap
@@ -96,7 +97,7 @@ def projection(result):
 def test_remote_dispatch_overhead(tmp_path):
     project = build_project(tmp_path)
 
-    # -- process backend: spawned per-shard workers -----------------------
+    # -- process backend: a loopback worker spawned per shard -------------
     started = time.monotonic()
     process_result = Campaign(
         make_config(project, tmp_path / "ws-process", "process")
@@ -104,7 +105,7 @@ def test_remote_dispatch_overhead(tmp_path):
     process_s = time.monotonic() - started
     assert process_result.executed == FUNCTIONS
 
-    # -- remote backend: two live worker servers over HTTP ----------------
+    # -- remote backend: two pre-started worker servers -------------------
     services = [ProFIPyService(tmp_path / f"worker-{index}")
                 for index in range(2)]
     servers = [start_server(service)[0] for service in services]
@@ -143,7 +144,7 @@ def test_remote_dispatch_overhead(tmp_path):
         for service in services:
             service.close()
 
-    # Dispatch must not dominate: the campaign is experiment-bound, so
+    # Neither fleet may dominate: the campaign is experiment-bound, so
     # remote wall-clock stays within 2x of the process backend plus a
     # polling-grain allowance (very loose, CI-safe).
     assert remote_s < process_s * 2 + 10.0, (
@@ -153,11 +154,12 @@ def test_remote_dispatch_overhead(tmp_path):
     overhead = (remote_s - process_s) / max(process_s, 1e-9) * 100
     write_result(
         "remote_backend",
-        f"Remote backend dispatch overhead ({FUNCTIONS} experiments, "
-        f"{SHARDS} shards, parallelism {PARALLELISM}):\n"
-        f"  process backend (spawned shard workers): {process_s:6.2f} s\n"
-        f"  remote backend  (2 HTTP workers):        {remote_s:6.2f} s "
-        f"({overhead:+.0f}%)\n"
+        f"Remote backend, spawned vs standing fleet ({FUNCTIONS} "
+        f"experiments, {SHARDS} shards, parallelism {PARALLELISM}):\n"
+        f"  process backend (loopback worker per shard): "
+        f"{process_s:6.2f} s\n"
+        f"  remote backend  (2 pre-started workers):     "
+        f"{remote_s:6.2f} s ({overhead:+.0f}%)\n"
         f"  empty-shard HTTP round-trip floor (submit+poll+stream): "
         f"{floor_s * 1e3:.1f} ms\n"
         f"  canonical experiments byte-identical across backends: yes",

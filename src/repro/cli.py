@@ -535,9 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["thread", "process", "remote"],
                           default="thread",
                           help="execution backend: one in-process pool "
-                               "(thread), per-shard worker processes "
-                               "(process), or per-shard remote workers "
-                               "over the /v1 API (remote, see --worker); "
+                               "(thread), per-shard loopback worker "
+                               "processes (process), or per-shard remote "
+                               "workers over the /v1 API (remote, see "
+                               "--worker); "
                                "results are byte-identical")
     campaign.add_argument("--shards", type=int, default=1,
                           help="deterministic shard count for the "

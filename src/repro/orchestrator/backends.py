@@ -12,39 +12,39 @@ pluggable behind one :class:`ExecutionBackend` protocol, selected via
   straight into the canonical ``experiments.jsonl``.  A mutant that
   cannot be generated becomes that one experiment's ``harness_error``,
   never a failed campaign or a dead shard.
-* :class:`ProcessBackend` (``"process"``) — per-shard worker processes:
-  the pending plan is partitioned by the deterministic shard partitioner
-  (:func:`repro.orchestrator.plan.shard_index`), each shard runs the same
-  pipelined engine in its own process, streams to its own
-  ``experiments-<shard>.jsonl``, and the parent merges the shard streams
-  deterministically (sorted by experiment id) into the canonical stream.
-* :class:`RemoteBackend` (``"remote"``) — per-shard *remote* workers:
-  the same shard payloads are dispatched over the versioned ``/v1``
-  service API (``POST /v1/shards`` on a ``profipy worker`` host) instead
-  of to local processes.  The parent polls each worker's shard status,
-  incrementally mirrors the worker's shard stream into a local
+* :class:`RemoteBackend` (``"remote"``) — per-shard workers behind the
+  versioned ``/v1`` service API: the pending plan is partitioned by the
+  deterministic shard partitioner
+  (:func:`repro.orchestrator.plan.shard_index`), each shard's payload is
+  placed on a worker (``POST /v1/shards`` on a ``profipy worker`` host,
+  which runs the same pipelined engine), and the parent polls shard
+  status, mirrors each worker's stream into a local
   ``experiments-<shard>.jsonl`` (so a killed campaign still resumes from
-  everything fetched so far), relays cooperative cancellation, and fails
-  a shard over to another worker on connection loss.  The merge is the
-  exact machinery :class:`ProcessBackend` uses, so a dead worker's shard
-  degrades to retried ``harness_error`` records identically.
+  everything fetched so far), relays cooperative cancellation, fails a
+  shard over to another worker when its worker is lost, and finally
+  merges the shard streams deterministically (sorted by experiment id)
+  into the canonical stream.
+* :class:`ProcessBackend` (``"process"``) — the remote backend over
+  loopback workers it spawns itself: one worker process per non-empty
+  shard, each serving the ``/v1`` worker endpoints on ``127.0.0.1`` from
+  a private workspace next to the stream.  Placement, cancel relay,
+  mirroring, failover and merge are the remote backend's, so one
+  failure policy covers both: a killed worker's unmirrored tail fails
+  over to a sibling.
 
-Both backends preserve the determinism invariant: experiment ids, seeds,
-and mutants are independent of backend and shard count, so the same
-campaign seed yields byte-identical per-experiment ``point``,
+Every backend preserves the determinism invariant: experiment ids,
+seeds, and mutants are independent of backend and shard count, so the
+same campaign seed yields byte-identical per-experiment ``point``,
 ``mutated_snippet``, and ``seed`` whichever backend runs it — and a
-campaign may even crash under one backend and resume under the other.
+campaign may even crash under one backend and resume under another.
 Crash recovery of partial shard streams (:func:`recover_shard_streams`)
 runs before the campaign computes its resume set, so no recorded
 experiment is ever re-run or lost.
 
 Cancellation is cooperative everywhere: the thread backend polls the
-campaign's cancel hook between experiments; the process backend relays it
-to workers through a cancel-flag *file* (the same substitute-for-shared-
-memory idiom as the sandbox trigger file), which each worker polls
-between experiments; the remote backend relays it as
-``POST /v1/shards/{id}/cancel``, behind which the worker's own
-cancel-flag file sits.
+campaign's cancel hook between experiments; the sharded backends relay
+it as ``POST /v1/shards/{id}/cancel``, behind which the worker's
+cancel-flag file sits, polled between experiments.
 
 Progress is shard-aware: backends report ``experiments_done/total`` plus
 a per-shard state table through ``ExecutionContext.on_progress`` — the
@@ -53,11 +53,12 @@ feed the service layer persists for ``/v1/jobs/{id}``.
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import re
+import shutil
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -91,7 +92,7 @@ class ExecutionContext:
 
     ``executor`` carries the in-process pieces (image, workload, compiled
     models, seeds); ``fault_model`` is the *serializable* source of the
-    same faultload, which process workers recompile on their side —
+    same faultload, which shard workers recompile on their side —
     compiled metamodels hold AST/matcher state that must not cross a
     process boundary.
     """
@@ -477,12 +478,12 @@ class ThreadBackend:
                                 shards=progress.snapshot()["shards"])
 
 
-# -- process backend ---------------------------------------------------------------
+# -- shard payloads and merging ---------------------------------------------------
 
 
 def _shard_parallelism(parallelism: int | None,
                        active: int) -> "list[int | None]":
-    """Per-worker parallelism pins for ``active`` shard processes.
+    """Per-worker parallelism pins for ``active`` shard workers.
 
     A pinned parallelism is distributed with its remainder (4 over 3
     shards → 2+1+1, not 1+1+1), floored at one per worker — total
@@ -507,11 +508,8 @@ def build_shard_payload(executor: ExperimentExecutor,
                         image_manifest=None) -> dict:
     """The JSON-plain wire form of one shard's work.
 
-    This is the single payload schema shared by every sharded backend:
-    :class:`ProcessBackend` adds the local-only ``stream_path`` /
-    ``cancel_flag`` keys and hands it to a spawned process, while
-    :class:`RemoteBackend` ships it verbatim to ``POST /v1/shards`` —
-    the worker host fills in its own stream/cancel/scratch paths.
+    The sharded backends ship it verbatim to ``POST /v1/shards``; the
+    worker host fills in its own stream, cancel-flag and scratch paths.
 
     The image travels in one of two forms.  With ``image_manifest``
     (an :class:`~repro.service.blobs.ImageManifest`) the payload is
@@ -519,7 +517,7 @@ def build_shard_payload(executor: ExperimentExecutor,
     it, and the executing host materializes the staged tree
     byte-identically from its local blob store.  Without a manifest the
     ``image`` key carries host-local staging paths — the same-host form
-    the process backend uses.
+    the process backend's loopback workers read directly.
     """
     payload = {
         "shard": shard,
@@ -555,9 +553,8 @@ def merge_and_backfill(stream: ExperimentStream,
                        indices, failed_shards: dict[int, str]) -> set[str]:
     """Fold every shard stream into the canonical stream, then record a
     ``harness_error`` for each experiment of a failed shard that never
-    made it into a stream (retried on resume).  Shared by the process
-    and remote backends so dead local workers and dead remote workers
-    degrade identically.  Returns the merged experiment ids."""
+    made it into a stream (retried on resume).  Returns the merged
+    experiment ids."""
     merged_ids: set[str] = set()
     for index in sorted(indices):
         merged_ids.update(merge_shard_stream(
@@ -572,16 +569,16 @@ def merge_and_backfill(stream: ExperimentStream,
 
 
 def _run_shard_worker(payload: dict) -> dict:
-    """Run one shard's experiments in a worker process.
+    """Run one shard's experiments on a worker host.
 
-    The payload is JSON-plain (spawn-safe): the worker recompiles the
-    fault model, reattaches to the already-built sandbox image on disk,
-    and runs the same pipelined engine as the thread backend, streaming
-    into its private shard stream.  Cancellation arrives through the
-    cancel-flag file polled between experiments.  This is also the
-    remote worker's execution core: ``POST /v1/shards`` rewrites the
-    local-only paths (stream, cancel flag, sandbox scratch) into the
-    worker's own workspace and runs exactly this function.
+    The execution core behind ``POST /v1/shards``: the worker's
+    :class:`~repro.service.shards.ShardHost` rewrites the payload's
+    local-only paths (stream, cancel flag, sandbox scratch) into its own
+    workspace and calls this.  The worker recompiles the fault model,
+    reattaches to the sandbox image on disk, and runs the same pipelined
+    engine as the thread backend, streaming into its private shard
+    stream.  Cancellation arrives through the cancel-flag file polled
+    between experiments.
     """
     fault_model = FaultModel.from_dict(payload["fault_model"])
     models = {model.name: model for model in fault_model.compile()}
@@ -624,145 +621,6 @@ def _run_shard_worker(payload: dict) -> dict:
             "cancelled": cancelled}
 
 
-def _tail_newlines(path: Path, offset: int) -> tuple[int, int]:
-    """Newlines appended to ``path`` past ``offset`` → ``(count,
-    new_offset)``.  The progress poll calls this per tick, so reading
-    only the appended tail keeps polling O(new results), not O(stream).
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-    except OSError:
-        return 0, offset
-    return chunk.count(b"\n"), offset + len(chunk)
-
-
-class ProcessBackend:
-    """Per-shard worker processes with deterministic stream merging.
-
-    Each shard runs the pipelined engine in its own (spawned) process —
-    full isolation from the service process and true multi-core fan-out —
-    streaming to ``experiments-<shard>.jsonl``.  The parent polls shard
-    streams for live progress, relays cancellation via the cancel-flag
-    file, and finally merges every shard stream into the canonical
-    stream sorted by experiment id.  A worker that dies mid-shard loses
-    nothing recorded: its partial stream still merges, and its missing
-    experiments are recorded as ``harness_error`` (retried on resume).
-    """
-
-    name = BACKEND_PROCESS
-
-    #: How often the parent polls cancellation and shard progress.
-    poll_seconds = 0.5
-
-    def execute(self, context: ExecutionContext,
-                pending: list[PlannedExperiment],
-                stream: ExperimentStream) -> ExecutionOutcome:
-        executor = context.executor
-        shards = _partition(pending, context.shards)
-        progress = ShardProgress(self.name, [len(s) for s in shards],
-                                 sink=context.on_progress)
-        progress.emit()
-        cancel_flag = stream.path.with_name(stream.path.stem + ".cancel")
-        try:
-            cancel_flag.unlink()
-        except FileNotFoundError:
-            pass
-        stream.path.parent.mkdir(parents=True, exist_ok=True)
-
-        active_indices = [index for index, experiments in enumerate(shards)
-                          if experiments]
-        worker_parallelism = dict(zip(
-            active_indices,
-            _shard_parallelism(context.parallelism, len(active_indices)),
-        ))
-        payloads = {}
-        for index, experiments in enumerate(shards):
-            if not experiments:
-                continue
-            payloads[index] = {
-                **build_shard_payload(executor, context.fault_model,
-                                      index, experiments,
-                                      worker_parallelism[index]),
-                "stream_path": str(shard_stream_path(stream.path, index)),
-                "cancel_flag": str(cancel_flag),
-            }
-
-        cancelled = False
-        failed_shards: dict[int, str] = {}
-        if payloads:
-            # One single-worker executor *per shard*, spawned (not
-            # forked: the service scheduler runs campaigns on worker
-            # threads, and forking a threaded process is undefined
-            # behaviour waiting to happen).  A shared pool would turn
-            # one abruptly-dead worker into BrokenProcessPool for every
-            # sibling shard; separate executors contain the blast radius
-            # to the shard that actually died.
-            spawn = get_context("spawn")
-            executors = {
-                index: ProcessPoolExecutor(max_workers=1, mp_context=spawn)
-                for index in payloads
-            }
-            try:
-                futures = {
-                    executors[index].submit(_run_shard_worker, payload):
-                        index
-                    for index, payload in payloads.items()
-                }
-                for index in futures.values():
-                    progress.start(index)
-                offsets = {index: 0 for index in payloads}
-                counts = {index: 0 for index in payloads}
-                waiting = set(futures)
-                while waiting:
-                    done, waiting = wait(waiting,
-                                         timeout=self.poll_seconds,
-                                         return_when=FIRST_COMPLETED)
-                    if (context.cancel is not None and context.cancel()
-                            and not cancel_flag.exists()):
-                        cancelled = True
-                        cancel_flag.touch()
-                    for index in list(payloads):
-                        added, offsets[index] = _tail_newlines(
-                            shard_stream_path(stream.path, index),
-                            offsets[index],
-                        )
-                        counts[index] += added
-                        progress.set_done(index, counts[index])
-                    for future in done:
-                        index = futures[future]
-                        try:
-                            report = future.result()
-                            cancelled = cancelled or report["cancelled"]
-                            progress.set_done(index, report["recorded"])
-                            progress.finish(index)
-                        except Exception as error:  # noqa: BLE001
-                            # A dead worker (OOM, kill) must not sink the
-                            # campaign: its partial stream merges below
-                            # and the remainder records harness errors.
-                            failed_shards[index] = (
-                                f"shard {index} worker died: "
-                                f"{type(error).__name__}: {error}"
-                            )
-                            progress.finish(index, state="failed")
-                    # One snapshot per poll tick (emit() skips no-ops).
-                    progress.emit()
-            finally:
-                for executor in executors.values():
-                    executor.shutdown(wait=True, cancel_futures=True)
-        merge_and_backfill(stream, shards, payloads, failed_shards)
-        try:
-            cancel_flag.unlink()
-        except FileNotFoundError:
-            pass
-        cancelled = cancelled or (context.cancel is not None
-                                  and context.cancel())
-        progress.emit()
-        return ExecutionOutcome(cancelled=cancelled,
-                                shards=progress.snapshot()["shards"])
-
-
 # -- remote backend ----------------------------------------------------------------
 
 #: Everything a lost worker connection can look like from urllib: refused
@@ -781,24 +639,40 @@ _DEAD = "dead"
 class _AdaptivePoll:
     """Exponential poll backoff: fast while results flow, slow when the
     fleet is quiet.  ``record(progressed)`` resets the interval to the
-    minimum on any progress and multiplies it towards the maximum
+    minimum on any progress and multiplies it towards ``maximum``
     otherwise — so an active campaign mirrors results at ``minimum``
     cadence while an idle wait (long experiments, queued shards) decays
-    to ``maximum`` instead of burning a request per worker per tick."""
+    instead of burning a request per worker per tick.
 
-    def __init__(self, minimum: float, maximum: float,
-                 backoff: float) -> None:
+    Once anything has progressed, an interval is also at most a quarter
+    of the campaign's pace: the time since the first progress over the
+    progress ticks seen.  A shard's end is noticed at most one interval
+    late, and on experiments of a few seconds a ``maximum``-long
+    interval would add most of an experiment to the turnaround."""
+
+    def __init__(self, minimum: float, maximum: float, backoff: float,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.minimum = minimum
         self.maximum = max(maximum, minimum)
         self.backoff = max(backoff, 1.0)
         self.interval = minimum
+        self.clock = clock
+        self._progress_ticks = 0
+        self._first_progress = 0.0
 
     def record(self, progressed: bool) -> None:
+        now = self.clock()
         if progressed:
+            if not self._progress_ticks:
+                self._first_progress = now
+            self._progress_ticks += 1
             self.interval = self.minimum
-        else:
-            self.interval = min(self.interval * self.backoff,
-                                self.maximum)
+            return
+        ceiling = self.maximum
+        if self._progress_ticks:
+            pace = (now - self._first_progress) / self._progress_ticks
+            ceiling = max(self.minimum, min(ceiling, pace / 4))
+        self.interval = min(self.interval * self.backoff, ceiling)
 
 
 def _fleet_load(view: dict, assigned: "dict[str, int]") -> tuple:
@@ -898,9 +772,9 @@ class RemoteBackend:
     each worker's shard stream into the local
     ``experiments-<shard>.jsonl`` (newline-aligned tail fetches, so the
     local copy only ever holds complete records), and finally merges the
-    local shard streams into the canonical stream exactly as
-    :class:`ProcessBackend` does — so a campaign killed mid-run resumes
-    from everything mirrored so far, on any backend.
+    local shard streams into the canonical stream sorted by experiment
+    id (:func:`merge_and_backfill`) — so a campaign killed mid-run
+    resumes from everything mirrored so far, on any backend.
 
     Failure policy — three ways a placed shard moves, all ending in the
     same *steal*: resubmit only the experiments not already mirrored
@@ -920,8 +794,7 @@ class RemoteBackend:
 
     A worker-*reported* failure (the shard engine itself raised) is not
     retried elsewhere — the shard's unrecorded experiments become
-    ``harness_error`` records, retried on resume, exactly like a dead
-    local process worker.
+    ``harness_error`` records, retried on resume.
 
     Cancellation is relayed as ``POST /v1/shards/{id}/cancel``; workers
     observe their cancel-flag file between experiments.
@@ -970,13 +843,13 @@ class RemoteBackend:
         static_workers = [url.rstrip("/")
                           for url in (context.workers or []) if url]
         registry = context.registry
-        if not static_workers and registry is None:
+        shards = _partition(pending, context.shards)
+        if any(shards) and not static_workers and registry is None:
             raise ValueError(
                 "remote backend requires worker URLs "
                 "(CampaignConfig.workers / --worker) or a registry "
                 "(CampaignConfig.registry_url / --registry)"
             )
-        shards = _partition(pending, context.shards)
         progress = ShardProgress(self.name, [len(s) for s in shards],
                                  sink=context.on_progress)
         progress.emit()
@@ -1298,6 +1171,104 @@ class RemoteBackend:
         progress.emit()
         return ExecutionOutcome(cancelled=cancelled,
                                 shards=progress.snapshot()["shards"])
+
+
+# -- process backend ---------------------------------------------------------------
+
+
+def _serve_loopback_worker(workspace: str, conn) -> None:
+    """Body of one spawned loopback worker process.
+
+    Serves the ``/v1`` worker endpoints on an ephemeral loopback port
+    from the private ``workspace``, sends the URL back over ``conn``,
+    and serves until the parent sends a stop message or its end of the
+    pipe closes (a killed campaign).  Before exiting it cancels and
+    waits out any shard still running here, so no sandbox outlives it.
+    The server's daemon threads end with the process: waiting out
+    ``serve_forever``'s half-second poll would only delay the campaign.
+    """
+    # Lazy: the service layer imports this module at import time.
+    from repro.service.http import start_server
+    from repro.service.service import ProFIPyService
+
+    service = ProFIPyService(workspace, max_workers=1)
+    server, _thread = start_server(service)
+    conn.send(server.url)
+    try:
+        conn.recv()
+    except EOFError:
+        pass
+    for view in service.shards.list():
+        service.shards.cancel(view["shard_id"])
+    service.shards.join()
+
+
+class ProcessBackend(RemoteBackend):
+    """The remote backend over loopback workers it spawns itself.
+
+    One worker process per non-empty shard, spawned (not forked: the
+    service scheduler runs campaigns on worker threads, and forking a
+    threaded process is undefined behaviour) so it gets the parent's
+    ``sys.path``, and left in the campaign's session, so a kill of the
+    campaign's process group takes the workers too.  Each serves
+    ``/v1`` from a private workspace under ``<stream stem>.workers/``
+    next to the stream; the shard payloads carry host-local image paths,
+    so no blob is shipped.  Everything else — placement, cancel relay,
+    mirroring, failover, merge — is :meth:`RemoteBackend.execute`: a
+    killed worker's unmirrored tail fails over to a sibling.
+    """
+
+    name = BACKEND_PROCESS
+
+    def execute(self, context: ExecutionContext,
+                pending: list[PlannedExperiment],
+                stream: ExperimentStream) -> ExecutionOutcome:
+        active = sum(1 for experiments in _partition(pending, context.shards)
+                     if experiments)
+        root = stream.path.with_name(stream.path.stem + ".workers")
+        shutil.rmtree(root, ignore_errors=True)  # a killed run's leftovers
+        spawn = get_context("spawn")
+        workers = []
+        try:
+            for index in range(active):
+                conn, child_conn = spawn.Pipe()
+                process = spawn.Process(
+                    target=_serve_loopback_worker,
+                    args=(str(root / f"worker-{index}"), child_conn),
+                    name=f"loopback-worker-{index}",
+                )
+                process.start()
+                # The child holds the only other end: its recv() sees
+                # EOF once this process closes ``conn`` or dies.
+                child_conn.close()
+                workers.append((process, conn))
+            urls = []
+            for process, conn in workers:
+                try:
+                    urls.append(conn.recv())
+                except EOFError:
+                    raise RuntimeError(
+                        f"{process.name} exited during startup") from None
+            return super().execute(
+                dataclasses.replace(context, workers=urls, registry=None,
+                                    image_manifest=None),
+                pending, stream,
+            )
+        finally:
+            for process, conn in workers:
+                try:
+                    conn.send("stop")
+                except OSError:
+                    pass  # already gone
+                conn.close()
+            for process, _conn in workers:
+                # A stopped worker first waits out its in-flight
+                # experiments; one that still hangs is killed.
+                process.join(60.0)
+                if process.is_alive():
+                    process.kill()
+                    process.join()
+            shutil.rmtree(root, ignore_errors=True)
 
 
 __all__ = [

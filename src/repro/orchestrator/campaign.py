@@ -96,8 +96,9 @@ class CampaignConfig:
     #: None = adaptive N-1 parallelism; an int pins the worker count.
     parallelism: int | None = None
     #: Execution backend: ``"thread"`` (one in-process pool),
-    #: ``"process"`` (per-shard worker processes), or ``"remote"``
-    #: (per-shard workers over the /v1 API).  Results are byte-identical
+    #: ``"remote"`` (per-shard workers over the /v1 API), or
+    #: ``"process"`` (the remote backend over per-shard loopback worker
+    #: processes it spawns itself).  Results are byte-identical
     #: across backends — this is purely a scaling choice.
     backend: str = BACKEND_THREAD
     #: Shard count for the deterministic plan partitioner (independent
@@ -476,7 +477,7 @@ class Campaign:
                         "re-run with resume=False (--no-resume) or use a "
                         "fresh workspace"
                     )
-                # A run killed mid-flight under the process backend leaves
+                # A run killed mid-flight under a sharded backend leaves
                 # partial per-shard streams; fold them into the canonical
                 # stream *before* computing the resume set, so those
                 # experiments count as recorded regardless of the backend

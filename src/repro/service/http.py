@@ -99,6 +99,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._tenant = DEFAULT_TENANT
         try:
             route, params, allowed = resolve(self.command, parsed.path)
+            if (route is None or route.body == NO_BODY) and (
+                    self.headers.get("Content-Length", "0").strip() != "0"
+                    or "Transfer-Encoding" in self.headers):
+                # Nothing reads this body: on a kept-alive connection
+                # its bytes would be parsed as the next request.
+                self.close_connection = True
             if route is None or route.scope != OPEN:
                 self._authenticate()
             if route is None and allowed:

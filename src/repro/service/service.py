@@ -84,6 +84,11 @@ from repro.service.tenants import (
 #: Conventional tenants-file name auto-loaded from the workspace.
 TENANTS_FILENAME = "tenants.json"
 
+#: Campaign config fields naming server-side paths; only the default
+#: tenant (the workspace's own user) may set them.
+_SERVER_PATH_FIELDS = ("workspace", "results_path", "scan_cache_dir",
+                       "blob_cache_dir")
+
 
 class ProFIPyService:
     """In-process fault-injection-as-a-service."""
@@ -303,6 +308,18 @@ class ProFIPyService:
         rules = rules or []
         components = components or []
         owner = self._resolve(tenant)
+        if (owner != DEFAULT_TENANT and self.tenants is not None
+                and owner in self.tenants):
+            # A configured tenant's campaign runs inside its namespace:
+            # server-side paths are the service's to choose, never the
+            # caller's (they would write anywhere the server can).
+            chosen = [name for name in _SERVER_PATH_FIELDS
+                      if getattr(config, name) is not None]
+            if chosen:
+                raise TenantForbiddenError(
+                    f"tenant {owner!r} may not set server-side paths "
+                    f"({', '.join(chosen)}) in a campaign config"
+                )
         # Service campaigns share a persistent per-tenant scan cache:
         # repeated campaigns over unchanged target trees skip
         # re-matching entirely, and no tenant reads cache entries
@@ -345,7 +362,7 @@ class ProFIPyService:
                     and previous_stream != stream_path):
                 shutil.copyfile(previous_stream, stream_path)
                 # Carry over partial *shard* streams too: a job killed
-                # mid-campaign under the process backend recorded some
+                # mid-campaign under a sharded backend recorded some
                 # experiments only there; the campaign's recovery merges
                 # them before computing the resume set.
                 from repro.orchestrator.backends import leftover_shard_streams

@@ -1,11 +1,11 @@
 """Worker-side shard execution for the remote backend (``/v1/shards``).
 
-A ``profipy worker`` host accepts shard payloads — the JSON-plain form
-built by :func:`repro.orchestrator.backends.build_shard_payload` — and
-runs each through the exact engine a local process worker runs
-(:func:`repro.orchestrator.backends._run_shard_worker`), so a shard
-executes byte-identically whether it was spawned locally or dispatched
-over the wire.
+A ``profipy worker`` host — or one of the process backend's loopback
+workers — accepts shard payloads, the JSON-plain form built by
+:func:`repro.orchestrator.backends.build_shard_payload`, and runs each
+through :func:`repro.orchestrator.backends._run_shard_worker`, the same
+pipelined engine the thread backend runs, so a shard executes
+byte-identically on every backend.
 
 :class:`ShardHost` is the behavioural core behind the worker endpoints:
 
@@ -21,8 +21,8 @@ over the wire.
   O(json);
 * ``stream_path`` exposes the shard's ``experiments.jsonl`` for the
   newline-aligned NDJSON tail endpoint;
-* ``cancel`` touches the shard's cancel-flag file, the same cooperative
-  between-experiments mechanism the process backend relays.
+* ``cancel`` touches the shard's cancel-flag file, which the engine
+  polls between experiments.
 
 Shard ids never repeat within a workspace (max-suffix scan over the
 shard directories, like the job scheduler's id allocation), so a
@@ -54,10 +54,10 @@ DEFAULT_MAX_CONCURRENT = 4
 
 #: Payload keys a dispatcher must provide (the wire schema of
 #: ``build_shard_payload``; local-only paths are filled in worker-side).
-#: The image arrives either as ``image`` (host-local staging paths, the
-#: process backend's form) or as ``image_manifest`` (content-addressed,
-#: materialized from this worker's blob store) — one of the two is
-#: required on top of these.
+#: The image arrives either as ``image`` (host-local staging paths, what
+#: the process backend's loopback workers get) or as ``image_manifest``
+#: (content-addressed, materialized from this worker's blob store) — one
+#: of the two is required on top of these.
 REQUIRED_PAYLOAD_KEYS = (
     "shard",
     "planned",
@@ -179,8 +179,7 @@ class ShardHost:
                 directory=directory,
             )
             self._runs[shard_id] = run
-        # The executing engine is exactly the local process worker's;
-        # only the local-only paths are rewritten into the shard's
+        # Only the local-only paths are rewritten into the shard's
         # private directory.  A manifest-bearing payload needs no
         # coordinator paths at all — the image is materialized from this
         # host's blob store in the worker thread below; a path-based

@@ -8,9 +8,9 @@ drains in-flight work when it trips — no backend changes needed.
 
 The monitor observes results by incrementally tailing the canonical
 ``experiments.jsonl`` plus any sibling ``experiments-<N>.jsonl`` shard
-streams (the process backend writes those locally; the remote dispatcher
-mirrors them to the same paths), deduplicating by experiment id.  Reads
-are incremental byte tails, so polling stays cheap on large streams.
+streams (the process and remote backends mirror their workers' streams
+to those paths), deduplicating by experiment id.  Reads are incremental
+byte tails, so polling stays cheap on large streams.
 """
 
 from __future__ import annotations

@@ -287,6 +287,31 @@ def recorded_total(workspace: Path) -> int:
     return total
 
 
+def descendants(root: int | None = None) -> set[int]:
+    """Pids of every live or unreaped process below ``root`` (default:
+    this process), read from ``/proc``."""
+    root = os.getpid() if root is None else root
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # ended meanwhile
+        # The command name may hold spaces and parentheses: the fields
+        # after the last ")" are state, ppid, ...
+        ppid = int(stat[stat.rfind(b")") + 2:].split()[1])
+        children.setdefault(ppid, []).append(int(entry))
+    found, frontier = set(), [root]
+    while frontier:
+        frontier = [child for pid in frontier
+                    for child in children.get(pid, [])]
+        found.update(frontier)
+    return found
+
+
 def wait_until(predicate, timeout: float = 120.0,
                interval: float = 0.05) -> bool:
     deadline = time.monotonic() + timeout

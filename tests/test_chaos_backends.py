@@ -10,12 +10,17 @@ reference run, whatever backend or shard count either side used.
 
 Remote-specific chaos rides along: a worker killed mid-pool fails its
 shards over to a survivor, and a worker-*reported* shard failure
-degrades to retried ``harness_error`` records exactly like a dead local
-process worker.
+degrades to retried ``harness_error`` records.  The process backend is
+the remote backend over loopback workers it spawns, so the same
+failover covers a killed loopback worker.
 """
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,6 +28,7 @@ from chaos import (
     WorkerProcess,
     assert_streams_equivalent,
     build_chaos_project,
+    descendants,
     kill_group,
     launch_campaign,
     make_chaos_config,
@@ -34,6 +40,8 @@ from chaos import (
 from conftest import TOY_SPEC
 from repro.orchestrator.backends import leftover_shard_streams
 from repro.orchestrator.campaign import Campaign, CampaignCancelled
+from repro.orchestrator.plan import shard_index
+from repro.orchestrator.stream import ExperimentStream
 from repro.service.http import start_server
 from repro.service.service import ProFIPyService
 
@@ -674,6 +682,111 @@ def test_registered_fleet_survives_sigstop_and_sigkill(chaos_env,
             worker.stop()
         coordinator_server.shutdown()
         coordinator.close()
+
+
+# -- process backend: the remote failure policy over loopback workers -------------
+
+
+def _loopback_workers() -> dict:
+    """This process's live loopback workers, by process name."""
+    return {process.name: process
+            for process in multiprocessing.active_children()
+            if process.name.startswith("loopback-worker-")}
+
+
+def test_process_worker_killed_mid_shard_fails_over(chaos_env, tmp_path):
+    """SIGKILL one loopback worker whose shard is unfinished, once a
+    mirrored shard stream holds a record: the process backend fails the
+    unmirrored tail over to the sibling worker, exactly as the remote
+    backend does, and the campaign completes byte-identically with no
+    ``harness_error`` records."""
+    shards = 2
+    totals = Counter(
+        shard_index(experiment_id, shards) for experiment_id in
+        ExperimentStream(chaos_env.reference_stream)._latest_entries()
+    )
+    assert len(totals) == shards, "a shard is empty: no sibling to fail to"
+    workspace = tmp_path / "ws"
+    thread, outcome = _campaign_thread(make_chaos_config(
+        chaos_env.project, TOY_SPEC, workspace, "process", shards,
+    ))
+    killed = []
+
+    def unfinished_worker():
+        """The first worker directory whose shard stream is short."""
+        workers_dir = workspace / "experiments.workers"
+        for directory in sorted(workers_dir.glob("worker-*")):
+            ids = set()
+            for path in directory.glob("shards/*/experiments.jsonl"):
+                ids.update(ExperimentStream(path)._latest_entries())
+            owned = {shard_index(experiment_id, shards)
+                     for experiment_id in ids}
+            if not ids or len(ids) < totals[owned.pop()]:
+                return directory.name
+        return None
+
+    def kill_a_busy_worker():
+        if not thread.is_alive():
+            return True
+        if recorded_total(workspace) < 1:
+            return False
+        process = _loopback_workers().get(
+            f"loopback-{unfinished_worker()}")
+        if process is None:
+            return False
+        os.kill(process.pid, signal.SIGKILL)
+        killed.append(process.name)
+        return True
+
+    try:
+        assert wait_until(kill_a_busy_worker)
+    except BaseException:
+        _finish(thread, outcome)
+        raise
+    result = _finish(thread, outcome)
+    assert killed, "campaign finished before a worker could be killed"
+    assert result.executed == EXPERIMENTS
+    assert all(e.status != "harness_error" for e in result.experiments)
+    assert_streams_equivalent(workspace / "experiments.jsonl",
+                              chaos_env.reference_stream)
+
+
+def test_process_backend_leaves_no_process_behind(chaos_env, tmp_path):
+    """After a completed and after a cancelled process-backend run,
+    every loopback worker has been stopped and reaped: no
+    multiprocessing child and no descendant of this process remains
+    (multiprocessing's resource tracker aside, which lives as long as
+    this process does)."""
+    from multiprocessing import resource_tracker
+
+    before = descendants()
+
+    def assert_nothing_left(workspace):
+        assert multiprocessing.active_children() == []
+        tracker = resource_tracker._resource_tracker._pid
+        left = descendants() - before - {tracker}
+        assert not left, f"processes left running: {sorted(left)}"
+        assert not (workspace / "experiments.workers").exists()
+
+    completed = tmp_path / "completed"
+    result = Campaign(make_chaos_config(
+        chaos_env.project, TOY_SPEC, completed, "process", 2,
+    )).run()
+    assert result.executed == EXPERIMENTS
+    assert_nothing_left(completed)
+
+    cancelled = tmp_path / "cancelled"
+    progressed = threading.Event()
+
+    def on_progress(snapshot):
+        if snapshot.get("experiments_done", 0) >= 1:
+            progressed.set()
+
+    with pytest.raises(CampaignCancelled):
+        Campaign(make_chaos_config(
+            chaos_env.project, TOY_SPEC, cancelled, "process", 2,
+        )).run(cancel=progressed.is_set, on_progress=on_progress)
+    assert_nothing_left(cancelled)
 
 
 def test_stream_projection_oracle_detects_divergence(chaos_env,

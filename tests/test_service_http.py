@@ -3,6 +3,7 @@ streaming, and long-poll waits — against fabricated job artifacts, so no
 real campaign runs here (the contract suite covers end-to-end)."""
 
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -486,3 +487,73 @@ class TestContentLengthValidation:
                                             str(MAX_BODY_BYTES + 1))
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
+
+
+class TestKeepAliveFraming:
+    """Regression: the server never reads the body of a request to a
+    bodiless row, so on a kept-alive connection that body used to be
+    parsed as the next request (a ping answered twice)."""
+
+    SECOND = b"GET /v1/ping HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @staticmethod
+    def _exchange(server, request: bytes) -> bytes:
+        """Send raw bytes, read until the server closes the socket."""
+        import socket
+
+        host, port = server.server_address[:2]
+        received = b""
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return received
+                received += chunk
+
+    @staticmethod
+    def _status_of_only_response(received: bytes) -> int:
+        """The status of the single response ``received`` holds; fails
+        on any byte past its ``Content-Length``."""
+        head, _, body = received.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        assert len(body) == length, received
+        return int(head.split(b" ", 2)[1])
+
+    def _ping_with(self, server, headers: bytes, body: bytes) -> int:
+        return self._status_of_only_response(self._exchange(
+            server, b"GET /v1/ping HTTP/1.1\r\nHost: x\r\n" + headers
+            + b"\r\n" + body))
+
+    def test_body_of_a_bodiless_request_is_not_a_request(self, stack):
+        _service, server, _client = stack
+        assert self._ping_with(
+            server, b"Content-Length: %d\r\n" % len(self.SECOND),
+            self.SECOND) == 200
+
+    def test_chunked_body_of_a_bodiless_request(self, stack):
+        _service, server, _client = stack
+        chunk = b"%x\r\n%s\r\n0\r\n\r\n" % (len(self.SECOND), self.SECOND)
+        assert self._ping_with(
+            server, b"Transfer-Encoding: chunked\r\n", chunk) == 200
+
+    def test_malformed_length_on_a_bodiless_request(self, stack):
+        # Answered as before (nothing parses the body), but the
+        # connection closes instead of reading on.
+        _service, server, _client = stack
+        assert self._ping_with(server, b"Content-Length: abc\r\n",
+                               self.SECOND) == 200
+
+    def test_unresolved_path_with_a_body(self, stack):
+        _service, server, _client = stack
+        received = self._exchange(
+            server, b"GET /v1/nope HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(self.SECOND) + self.SECOND)
+        assert self._status_of_only_response(received) == 404
+
+    def test_bodiless_requests_keep_the_connection(self, stack):
+        _service, server, _client = stack
+        received = self._exchange(
+            server, self.SECOND + b"GET /v1/ping HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n")
+        assert received.count(b"HTTP/1.1 200") == 2

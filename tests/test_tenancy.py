@@ -3,11 +3,13 @@ scheduling, per-tenant namespaces and quotas, and the two-tenants-on-one-
 live-server isolation contract (the PR acceptance criterion).
 """
 
+import dataclasses
 import hashlib
 import json
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +295,38 @@ class TestServiceTenantNamespaces:
         assert not list((tmp_path / "ws" / "tenants").rglob("planted*"))
         service.close()
 
+    @pytest.mark.integration
+    @pytest.mark.parametrize("field", ["workspace", "results_path",
+                                       "scan_cache_dir", "blob_cache_dir"])
+    def test_tenant_cannot_choose_server_paths(
+            self, tmp_path, monkeypatch, toy_project, toy_model,
+            toy_workload, field):
+        # Regression: a tenant's config path was used as given, so a
+        # submit with workspace="dir-workspace/inner" created that
+        # directory under the server's working directory.
+        monkeypatch.chdir(tmp_path)
+        service = ProFIPyService(
+            tmp_path / "ws", tenants=TenantDirectory.from_dict(TENANTS))
+        config = dataclasses.replace(
+            quick_config(toy_project, toy_model, toy_workload),
+            **{field: Path("dir-workspace/inner")},
+        )
+        try:
+            with pytest.raises(TenantForbiddenError, match=field):
+                service.for_tenant("alice").submit_campaign(config)
+            assert not (tmp_path / "dir-workspace").exists()
+            assert service.list_jobs() == []
+            # The workspace's own user keeps choosing its paths.
+            job = service.submit_campaign(
+                dataclasses.replace(config, **{field: None,
+                                               "workspace": tmp_path / "own"}),
+                block=True,
+            )
+            assert job.status == "completed", job.error
+            assert (tmp_path / "own").is_dir()
+        finally:
+            service.close()
+
     def test_default_tenant_keeps_single_user_layout(self, tmp_path):
         service = ProFIPyService(tmp_path / "ws")
         model = gswfit_model()
@@ -415,6 +449,20 @@ class TestAuthOverHTTP:
             clients["alice"].save_model(model)
         assert "planted" not in clients["bob"].stored_models()
         assert "planted" not in service.for_tenant("bob").stored_models()
+
+    def test_tenant_workspace_path_is_forbidden(
+            self, tenant_stack, tmp_path, monkeypatch, toy_project,
+            toy_model, toy_workload):
+        service, _server, clients = tenant_stack
+        monkeypatch.chdir(tmp_path)
+        config = dataclasses.replace(
+            quick_config(toy_project, toy_model, toy_workload),
+            workspace=Path("dir-workspace/inner"),
+        )
+        with pytest.raises(TenantForbiddenError, match="workspace"):
+            clients["alice"].submit_campaign(config)
+        assert not (tmp_path / "dir-workspace").exists()
+        assert service.list_jobs() == []
 
     def test_rate_limit_answers_429(self, tenant_stack):
         _service, _server, clients = tenant_stack

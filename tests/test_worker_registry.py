@@ -349,6 +349,31 @@ class TestPlacementHelpers:
         poll.record(progressed=True)
         assert poll.interval == 0.25  # progress snaps back to fast
 
+    def test_adaptive_poll_ceiling_keeps_pace_with_progress(self):
+        # Results every second: a quiet interval stays a quarter of that
+        # pace, so a shard's end is not noticed seconds late.
+        from repro.orchestrator.backends import _AdaptivePoll
+
+        now = [0.0]
+        poll = _AdaptivePoll(0.25, 2.0, 2.0, clock=lambda: now[0])
+        for tick in range(4):
+            now[0] = float(tick)
+            poll.record(progressed=True)
+        now[0] = 3.5
+        for _ in range(5):
+            poll.record(progressed=False)
+        assert poll.interval == 0.25
+        # A long quiet stretch slows the pace, and the backoff with it.
+        now[0] = 20.0
+        poll.record(progressed=False)
+        assert poll.interval == 0.5
+        poll.record(progressed=False)
+        poll.record(progressed=False)
+        assert poll.interval == 1.25  # a quarter of 20 s over 4 ticks
+        now[0] = 100.0
+        poll.record(progressed=False)
+        assert poll.interval == 2.0  # capped at the maximum
+
 
 @pytest.mark.integration
 class TestRegistryOverHTTP:
