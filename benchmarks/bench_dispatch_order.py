@@ -5,13 +5,25 @@ leaves worker slots idle at its end.  After a campaign on a persistent
 scan cache, each point's duration is recorded there; a re-campaign on
 the same cache dispatches its groups slowest first.
 
-The target has ``MODULES`` modules, each with one injection point.  The
-workload checks them in order and sleeps ``SLEEP`` seconds before each
-check, so a fault in module *i* fails the run after *i* sleeps: an
-experiment's duration rises with its position in the plan, and plan
-order starts the slowest one last.  The bench runs the campaign twice on
-one cache at parallelism 2 and asserts that the re-campaign executes
-faster while recording the same experiments.
+Each target has one injection point per module.  The workload checks the
+modules in order and sleeps a fixed time before each check, so a fault
+in module *i* fails the run after the sleeps before checks 0..*i*: an
+experiment's duration is set by its module.  Each case runs the campaign
+twice on one cache and asserts that the re-campaign executes faster
+while recording the same experiments.
+
+* **Thread backend**: ``MODULES`` modules, ``SLEEP`` seconds before
+  every check but the first, parallelism 2.  Plan order starts the
+  slowest experiment last.
+* **Process backend**: 6 modules on 2 one-slot shards.  The
+  experiments take about 1, 1, 1, 2, 2 and 6 × ``UNIT`` seconds
+  (``PROCESS_SLEEPS``), and ``sha256(id) % 2`` puts modules 0, 1, 2
+  and 5 on shard 1 (9 units) and modules 3 and 4 on shard 0 (4 units).
+  In plan order shard 1 starts its 6-unit experiment last, just before
+  shard 0 finishes, so without recorded durations its slot (and, where
+  shards never move work, shard 0's slot for 5 units) waits on it.  The
+  re-campaign starts it first and shard 0's worker takes the fast tail
+  by release, about 7 units in all.
 
 Run: ``cd benchmarks && PYTHONPATH=../src python -m pytest
 bench_dispatch_order.py -q -s``.
@@ -25,12 +37,19 @@ from conftest import write_result
 from repro.dsl.parser import parse_spec
 from repro.faultmodel.model import FaultModel
 from repro.orchestrator.campaign import Campaign, CampaignConfig
+from repro.orchestrator.plan import shard_index
 from repro.orchestrator.stream import ExperimentStream
 from repro.workload.spec import WorkloadSpec
 
 MODULES = 4
 SLEEP = 0.4
 PARALLEL = 2
+
+#: Process case: seconds slept before each module's check.
+UNIT = 0.5
+PROCESS_SLEEPS = [UNIT, 0, 0, UNIT, 0, 4 * UNIT]
+#: Which shard each process-case module lands on (checked below).
+PROCESS_SPLIT = [1, 1, 1, 0, 0, 1]
 
 SPEC = """
 change {
@@ -46,8 +65,11 @@ change {
 PROJECTED = ("experiment_id", "point", "mutated_snippet", "seed")
 
 
-def make_project(root):
-    for index in range(MODULES):
+def make_project(root, sleeps):
+    """One module per entry of ``sleeps``, the seconds slept before its
+    check."""
+    root.mkdir()
+    for index in range(len(sleeps)):
         (root / f"mod_{index}.py").write_text(textwrap.dedent(
             f"""
             def value():
@@ -61,9 +83,8 @@ def make_project(root):
         import sys
         import time
 
-        for index in range({MODULES}):
-            if index:
-                time.sleep({SLEEP})
+        for index, seconds in enumerate({list(sleeps)!r}):
+            time.sleep(seconds)
             module = importlib.import_module(f"mod_{{index}}")
             if module.value() != index:
                 print("WORKLOAD FAILURE: module", index, file=sys.stderr)
@@ -71,6 +92,7 @@ def make_project(root):
         print("WORKLOAD SUCCESS")
         """
     ).strip() + "\n")
+    return root
 
 
 def projection(path):
@@ -79,10 +101,9 @@ def projection(path):
             for line in lines]
 
 
-def test_recampaign_dispatches_longest_first(tmp_path):
-    project = tmp_path / "target"
-    project.mkdir()
-    make_project(project)
+def campaign_pair(tmp_path, sleeps, **overrides):
+    """The first campaign and its re-campaign on one scan cache."""
+    project = make_project(tmp_path / "target", sleeps)
     model = FaultModel(name="bench")
     model.add(parse_spec(SPEC, name="WRR"), description="wrong return")
 
@@ -99,8 +120,9 @@ def test_recampaign_dispatches_longest_first(tmp_path):
             parallelism=PARALLEL,
             scan_cache_dir=tmp_path / "cache",
             workspace=tmp_path / label,
+            **overrides,
         )).run(progress=lines.append)
-        assert result.executed == MODULES
+        assert result.executed == len(sleeps)
         return result, lines
 
     first, first_lines = campaign("first")
@@ -114,7 +136,11 @@ def test_recampaign_dispatches_longest_first(tmp_path):
         f"re-campaign {rerun.execution_seconds:.2f} s vs first "
         f"{first.execution_seconds:.2f} s"
     )
+    return first, rerun
 
+
+def test_recampaign_dispatches_longest_first(tmp_path):
+    first, rerun = campaign_pair(tmp_path, [0] + [SLEEP] * (MODULES - 1))
     write_result(
         "dispatch_order",
         f"Dispatch order ({MODULES} experiments of 0-{MODULES - 1} x "
@@ -122,5 +148,24 @@ def test_recampaign_dispatches_longest_first(tmp_path):
         f"  plan order (first campaign): "
         f"{first.execution_seconds:.2f} s\n"
         f"  longest-expected-first (re-campaign): "
+        f"{rerun.execution_seconds:.2f} s",
+    )
+
+
+def test_process_recampaign_dispatches_longest_first(tmp_path):
+    first, rerun = campaign_pair(tmp_path, PROCESS_SLEEPS,
+                                 backend="process", shards=2)
+    by_module = sorted(
+        (experiment.point["file"], experiment.experiment_id)
+        for experiment in first.experiments)
+    assert [shard_index(experiment_id, 2)
+            for _file, experiment_id in by_module] == PROCESS_SPLIT
+    write_result(
+        "dispatch_order_process",
+        f"Dispatch order, process backend (2 one-slot shards, "
+        f"experiments of 1,1,1,2,2,6 x {UNIT} s split 9/4 units):\n"
+        f"  plan order (first campaign): "
+        f"{first.execution_seconds:.2f} s\n"
+        f"  longest-expected-first + release steals (re-campaign): "
         f"{rerun.execution_seconds:.2f} s",
     )

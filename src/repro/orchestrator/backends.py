@@ -20,7 +20,8 @@ pluggable behind one :class:`ExecutionBackend` protocol, selected via
   which runs the same pipelined engine), and the parent polls shard
   status, mirrors each worker's stream into a local
   ``experiments-<shard>.jsonl`` (so a killed campaign still resumes from
-  everything fetched so far), relays cooperative cancellation, fails a
+  everything fetched so far), relays cooperative cancellation, moves
+  unstarted work from a busy worker to an idle one by release, fails a
   shard over to another worker when its worker is lost, and finally
   merges the shard streams deterministically (sorted by experiment id)
   into the canonical stream.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import http.client
+import json
 import re
 import shutil
 import threading
@@ -371,7 +373,8 @@ def _run_pipelined(executor: ExperimentExecutor,
                    parallelism: int | None,
                    cancel: Callable[[], bool] | None,
                    progress: ShardProgress | None,
-                   shard_for: Callable[[PlannedExperiment], int]) -> bool:
+                   shard_for: Callable[[PlannedExperiment], int],
+                   admit: Callable[[str], bool] | None = None) -> bool:
     """One pool pass over ``pending`` with pipelined mutant generation.
 
     The single generator thread produces mutants per ``(file, spec)``
@@ -379,8 +382,10 @@ def _run_pipelined(executor: ExperimentExecutor,
     workers execute experiments already handed out.  One pass over the
     whole list: ``shard_for`` maps each experiment to its shard for
     progress accounting only, so shard count never multiplies the
-    parse/match work.  Returns whether a cancellation request stopped
-    the run early.
+    parse/match work.  ``admit`` (a shard worker's release gate) is
+    asked before each hand-out; an experiment it refuses was released
+    to another worker and is skipped.  Returns whether a cancellation
+    request stopped the run early.
 
     The pool captures ``on_result`` exceptions per outcome so one failed
     stream append cannot kill the campaign mid-flight — but a failed
@@ -403,6 +408,8 @@ def _run_pipelined(executor: ExperimentExecutor,
             if cancel is not None and cancel():
                 cancelled = True
                 return
+            if admit is not None and not admit(planned.experiment_id):
+                continue
             shard = shard_for(planned)
             if progress is not None and shard not in started_shards:
                 started_shards.add(shard)
@@ -518,6 +525,10 @@ def build_shard_payload(executor: ExperimentExecutor,
     byte-identically from its local blob store.  Without a manifest the
     ``image`` key carries host-local staging paths — the same-host form
     the process backend's loopback workers read directly.
+
+    With recorded durations, ``expected_seconds`` maps each member's
+    point id to its expected seconds, so the worker dispatches the
+    shard longest-first in the order the dispatcher computes.
     """
     payload = {
         "shard": shard,
@@ -530,6 +541,9 @@ def build_shard_payload(executor: ExperimentExecutor,
         "campaign_seed": executor.campaign_seed,
         "parallelism": parallelism,
     }
+    expected = executor.expected_for(experiments)
+    if expected:
+        payload["expected_seconds"] = expected
     if image_manifest is not None:
         # Fully content-addressed: no dispatcher filesystem path rides
         # in the payload (scratch/stream/artifact paths are the
@@ -578,7 +592,8 @@ def _run_shard_worker(payload: dict) -> dict:
     reattaches to the sandbox image on disk, and runs the same pipelined
     engine as the thread backend, streaming into its private shard
     stream.  Cancellation arrives through the cancel-flag file polled
-    between experiments.
+    between experiments; the host's release gate, when it passes one as
+    ``admit``, is asked before each experiment is handed out.
     """
     fault_model = FaultModel.from_dict(payload["fault_model"])
     models = {model.name: model for model in fault_model.compile()}
@@ -602,6 +617,7 @@ def _run_shard_worker(payload: dict) -> dict:
         artifacts_dir=(Path(payload["artifacts_dir"])
                        if payload["artifacts_dir"] else None),
         cancel_check=cancel,
+        expected_seconds=dict(payload.get("expected_seconds") or {}),
     )
     planned = [PlannedExperiment.from_dict(entry)
                for entry in payload["planned"]]
@@ -616,6 +632,7 @@ def _run_shard_worker(payload: dict) -> dict:
         cancel,
         None,
         lambda _planned: shard,
+        payload.get("admit"),
     )
     return {"shard": shard, "recorded": len(stream),
             "cancelled": cancelled}
@@ -675,15 +692,26 @@ class _AdaptivePoll:
         self.interval = min(self.interval * self.backoff, ceiling)
 
 
-def _fleet_load(view: dict, assigned: "dict[str, int]") -> tuple:
-    """Sort key for placement: normalized live load (heartbeat
-    ``running + queued`` plus shards *this* dispatcher has in flight
-    there, over capacity), URL as the deterministic tie-break."""
+def _fleet_busy(view: dict, assigned: "dict[str, int]") -> int:
+    """Heartbeat ``running + queued`` plus the shards *this* dispatcher
+    has in flight there."""
     load = view.get("load") or {}
-    busy = int(load.get("running") or 0) + int(load.get("queued") or 0)
-    busy += assigned.get(view["url"], 0)
+    return (int(load.get("running") or 0) + int(load.get("queued") or 0)
+            + assigned.get(view["url"], 0))
+
+
+def _has_room(view: dict, assigned: "dict[str, int]") -> bool:
+    """Whether the worker has a free execution slot; one of unknown
+    capacity (a static pin that never heartbeats) always has."""
+    capacity = view.get("max_concurrent")
+    return capacity is None or _fleet_busy(view, assigned) < capacity
+
+
+def _fleet_load(view: dict, assigned: "dict[str, int]") -> tuple:
+    """Sort key for placement: normalized live load (busy slots over
+    capacity), URL as the deterministic tie-break."""
     capacity = view.get("max_concurrent") or 0
-    return (busy / max(capacity, 1), view["url"])
+    return (_fleet_busy(view, assigned) / max(capacity, 1), view["url"])
 
 
 def least_loaded_worker(fleet: "dict[str, dict]",
@@ -710,27 +738,65 @@ def idle_capacity(fleet: "dict[str, dict]", assigned: "dict[str, int]",
     """Whether some alive, non-excluded worker has a free execution
     slot — the gate for stealing a stalled shard (stealing onto a fleet
     that is saturated anyway just doubles the queue).  A worker of
-    unknown capacity (a static pin that never heartbeats) counts as
-    having room: without load data, stealing must stay possible."""
-    for view in fleet.values():
-        if view.get("state", _ALIVE) != _ALIVE or view["url"] in excluded:
-            continue
-        capacity = view.get("max_concurrent")
-        if capacity is None:
-            return True
-        load = view.get("load") or {}
-        busy = (int(load.get("running") or 0) + int(load.get("queued") or 0)
-                + assigned.get(view["url"], 0))
-        if busy < capacity:
-            return True
-    return False
+    unknown capacity counts as having room: without load data, stealing
+    must stay possible."""
+    return any(view.get("state", _ALIVE) == _ALIVE
+               and view["url"] not in excluded and _has_room(view, assigned)
+               for view in fleet.values())
 
 
-@dataclass
+def idle_worker(fleet: "dict[str, dict]", assigned: "dict[str, int]",
+                excluded=()) -> str | None:
+    """An idle worker's URL, or ``None``: alive, not ``excluded``, with
+    no unfinished placement of this dispatcher and a free slot.  The
+    target of a release steal."""
+    for url, view in sorted(fleet.items()):
+        if (view.get("state", _ALIVE) == _ALIVE and url not in excluded
+                and not assigned.get(url, 0)
+                and _has_room(view, assigned)):
+            return url
+    return None
+
+
+def release_tail(experiments: list[PlannedExperiment], recorded,
+                 expected: "dict[str, float]",
+                 running: int) -> list[PlannedExperiment]:
+    """What a release steal asks a placement's worker for: the back
+    half, by expected seconds (at least one experiment), of its
+    unstarted tail.
+
+    ``experiments`` is the placement in its worker's dispatch order; the
+    tail is what is not ``recorded`` yet, after the first ``running``
+    (presumed started).  A point without an ``expected`` entry weighs
+    one second.  The worker's release gate decides what was really not
+    started yet.
+    """
+    tail = [planned for planned in experiments
+            if planned.experiment_id not in recorded][running:]
+
+    def weight(planned: PlannedExperiment) -> float:
+        return expected.get(planned.point.point_id, 1.0)
+
+    half = sum(map(weight, tail)) / 2
+    taken: list[PlannedExperiment] = []
+    seconds = 0.0
+    for planned in reversed(tail):
+        if taken and seconds + weight(planned) > half:
+            break
+        taken.append(planned)
+        seconds += weight(planned)
+    return taken[::-1]
+
+
+@dataclass(eq=False)
 class _RemoteShard:
-    """Parent-side state of one shard dispatched to a remote worker."""
+    """Parent-side state of one placement: part of a shard, dispatched
+    to a remote worker.  Each shard starts as one placement; a release
+    steal adds another of the same shard index, mirrored into the same
+    local shard stream."""
 
     index: int
+    #: Once placed: what the worker runs, in its dispatch order.
     experiments: list[PlannedExperiment]
     #: Submission attempts so far (failover counts a new attempt).
     attempts: int = 0
@@ -744,8 +810,6 @@ class _RemoteShard:
     remote_id: str | None = None
     #: Bytes of the *current* remote stream mirrored locally.
     offset: int = 0
-    #: Result lines mirrored into the local shard stream (all attempts).
-    done_count: int = 0
     cancel_relayed: bool = False
     #: Last time this shard visibly moved (submitted, mirrored bytes, or
     #: remote state transition) — the straggler detector's clock.
@@ -754,8 +818,8 @@ class _RemoteShard:
     last_remote_state: str | None = None
     #: When the shard started waiting for an alive worker to appear.
     wait_since: float | None = None
-    #: Times this shard's tail was stolen from a dead/stalled worker.
-    stolen: int = 0
+    #: Set once a release took nothing: everything left was handed out.
+    drained: bool = False
 
 
 class RemoteBackend:
@@ -768,29 +832,41 @@ class RemoteBackend:
     ``--worker`` URLs mirrored in as unmanaged pins; without a registry
     the static URLs are the fleet, every one pinned alive.  The worker
     runs the exact :func:`_run_shard_worker` engine into its own
-    workspace.  The parent polls shard status, incrementally mirrors
-    each worker's shard stream into the local
+    workspace, longest-expected-first when the payload carries
+    ``expected_seconds``.  The parent polls shard status, incrementally
+    mirrors each worker's shard stream into the local
     ``experiments-<shard>.jsonl`` (newline-aligned tail fetches, so the
     local copy only ever holds complete records), and finally merges the
     local shard streams into the canonical stream sorted by experiment
     id (:func:`merge_and_backfill`) — so a campaign killed mid-run
     resumes from everything mirrored so far, on any backend.
 
-    Failure policy — three ways a placed shard moves, all ending in the
-    same *steal*: resubmit only the experiments not already mirrored
-    locally to another worker (determinism makes the re-run
-    byte-identical, so stealing is free):
+    Work moves between live workers only by *release*: the dispatcher
+    asks a worker for experiments it has not started
+    (``POST /v1/shards/{id}/release``), and the worker's release gate
+    guarantees none of the returned ids ever starts there.  What comes
+    back is placed as another placement of the same shard, so nothing
+    runs twice:
 
-    * a *connection* loss (worker died, network gone) fails the shard
-      over immediately;
-    * a registry lease going ``dead`` steals the shard *without
-      contacting the worker first* — a SIGSTOPped host's sockets hang
-      until timeout, and the lease already proved it missed heartbeats;
+    * when a worker is idle (:func:`idle_worker`), the back half of the
+      busiest placement's unstarted tail (:func:`release_tail`) moves
+      to it;
     * a *straggler* past :attr:`stall_seconds` with no visible progress
-      is stolen when (and only when) another alive worker has idle
-      capacity — a best-effort cancel is sent to the old worker, and
-      last-record-wins merging absorbs any overlap if it finishes its
-      copy anyway.
+      releases its whole unstarted remainder when another alive worker
+      has idle capacity — a queued or parked shard gives everything
+      back and is retired.
+
+    Started work is resubmitted only for a worker proven lost: the
+    shard's unmirrored remainder goes to another worker (determinism
+    makes the re-run byte-identical, and last-record-wins merging
+    absorbs any overlap) when
+
+    * a *connection* is lost (worker died, network gone) or the worker
+      answers ``unknown_shard`` (it restarted);
+    * a registry lease goes ``dead`` — the shard moves *without
+      contacting the worker first*, since a SIGSTOPped host's sockets
+      hang until timeout;
+    * a release request fails: its answer may have taken experiments.
 
     A worker-*reported* failure (the shard engine itself raised) is not
     retried elsewhere — the shard's unrecorded experiments become
@@ -815,7 +891,7 @@ class RemoteBackend:
     #: and cancel relay for its siblings — keep it short.
     request_timeout = 10.0
     #: No visible progress on a placed shard for this long (while idle
-    #: capacity exists elsewhere) → steal its unmirrored tail.
+    #: capacity exists elsewhere) → release its unstarted remainder.
     stall_seconds = 30.0
     #: How long a shard may wait for an alive worker to appear before
     #: the campaign gives it up as unplaceable (its experiments become
@@ -823,6 +899,9 @@ class RemoteBackend:
     placement_timeout = 60.0
     #: Registry fleet-view refresh cadence.
     fleet_refresh_seconds = 1.0
+    #: Shard slots assumed for each static worker URL; ``None`` is
+    #: unknown, which :func:`idle_capacity` counts as room.
+    pin_capacity: int | None = None
 
     def execute(self, context: ExecutionContext,
                 pending: list[PlannedExperiment],
@@ -886,7 +965,7 @@ class RemoteBackend:
 
         fleet: dict[str, dict] = {
             url: {"url": url, "state": _ALIVE, "managed": False,
-                  "load": None, "max_concurrent": None}
+                  "load": None, "max_concurrent": self.pin_capacity}
             for url in static_workers
         }
         static_set = set(static_workers)
@@ -925,21 +1004,32 @@ class RemoteBackend:
                     # Pruned from the registry entirely: dead.
                     fleet[url]["state"] = _DEAD
 
-        active = {
-            index: _RemoteShard(index=index, experiments=experiments)
+        executor = context.executor
+        placements = [
+            _RemoteShard(index=index, experiments=experiments)
             for index, experiments in enumerate(shards) if experiments
-        }
+        ]
         worker_parallelism = dict(zip(
-            sorted(active),
-            _shard_parallelism(context.parallelism, len(active)),
+            [state.index for state in placements],
+            _shard_parallelism(context.parallelism, len(placements)),
         ))
-        #: Shards this dispatcher currently has placed per worker URL —
+        expected = executor.expected_for(pending)
+        #: Placements this dispatcher currently has on each worker URL —
         #: folded into placement scores so N same-tick placements do not
         #: all pile onto the worker whose heartbeat looked idlest.
         assigned: dict[str, int] = {}
+        #: Experiment ids mirrored into each local shard stream.
+        recorded: dict[int, set[str]] = {state.index: set()
+                                         for state in placements}
+        #: Workers that lost a connection: never a release target again
+        #: (a dead static pin still looks alive and idle).
+        unreachable: set[str] = set()
         cancelled = False
         failed_shards: dict[int, str] = {}
-        unfinished = set(active)
+        unfinished = set(placements)
+
+        def open_placements() -> list[_RemoteShard]:
+            return [state for state in placements if state in unfinished]
 
         def max_attempts() -> int:
             """One initial try plus a failover to every other non-dead
@@ -949,10 +1039,14 @@ class RemoteBackend:
                            if view["state"] != _DEAD)
             return max(2, not_dead + 1)
 
-        def local_recorded_ids(index: int) -> set[str]:
-            return set(ExperimentStream(
-                shard_stream_path(stream.path, index)
-            )._latest_entries())
+        def retire(state: _RemoteShard) -> None:
+            """Drop a finished placement; its shard finishes with its
+            last placement."""
+            unfinished.discard(state)
+            if not any(other.index == state.index for other in unfinished):
+                progress.finish(state.index,
+                                state="failed" if state.index
+                                in failed_shards else "completed")
 
         def detach(state: _RemoteShard, exclude: bool = True) -> None:
             """Unbind the shard from its worker, releasing the
@@ -971,6 +1065,8 @@ class RemoteBackend:
 
         def lose_connection(state: _RemoteShard, error: Exception) -> None:
             """Handle a dropped worker: fail over or give the shard up."""
+            if state.url is not None:
+                unreachable.add(state.url)
             detach(state)
             state.failures += 1
             if state.failures >= max_attempts():
@@ -979,59 +1075,40 @@ class RemoteBackend:
                     f"{state.failures} failure(s): "
                     f"{type(error).__name__}: {error}"
                 )
-                unfinished.discard(state.index)
-                progress.finish(state.index, state="failed")
+                retire(state)
 
-        def steal(state: _RemoteShard, now: float, reason: str,
-                  cancel_old: bool) -> None:
-            """Take the shard's unmirrored tail away from its worker;
-            the next tick re-places it by least load.  ``cancel_old``
-            sends a best-effort cancel (stalled-but-alive workers should
-            stop burning sandboxes on work that now runs elsewhere);
-            lease-dead workers are never contacted — their sockets hang.
-            Everything already mirrored stays mirrored, and determinism
-            plus last-record-wins merging make the re-run byte-identical
-            even if the old worker finishes its copy anyway."""
-            old_url, old_id = state.url, state.remote_id
-            if cancel_old and old_url is not None and old_id is not None:
-                try:
-                    ProFIPyClient(old_url, timeout=3.0,
-                                  retry_policy=None).cancel_shard(old_id)
-                except Exception:  # noqa: BLE001 - best effort
-                    pass
-            detach(state)
-            state.stolen += 1
-            state.last_progress = now
-
-        def place(state: _RemoteShard, now: float) -> bool:
-            """Dispatch the shard's unmirrored remainder to the
-            least-loaded alive worker; returns whether it was placed.
-            No alive worker → wait (give up past placement_timeout)."""
+        def place(state: _RemoteShard, now: float,
+                  url: str | None = None) -> bool:
+            """Dispatch the shard's unmirrored remainder to ``url`` or
+            else the least-loaded alive worker; returns whether it was
+            placed.  No alive worker → wait (give up past
+            placement_timeout)."""
             refresh_fleet(now)
-            choice = least_loaded_worker(fleet, assigned, state.excluded)
-            if choice is None:
-                if state.wait_since is None:
-                    state.wait_since = now
-                elif now - state.wait_since > self.placement_timeout:
-                    failed_shards[state.index] = (
-                        f"shard {state.index} unplaceable: no alive "
-                        f"worker for {self.placement_timeout:g}s"
-                    )
-                    unfinished.discard(state.index)
-                    progress.finish(state.index, state="failed")
-                return False
+            if url is None:
+                choice = least_loaded_worker(fleet, assigned,
+                                             state.excluded)
+                if choice is None:
+                    if state.wait_since is None:
+                        state.wait_since = now
+                    elif now - state.wait_since > self.placement_timeout:
+                        failed_shards[state.index] = (
+                            f"shard {state.index} unplaceable: no alive "
+                            f"worker for {self.placement_timeout:g}s"
+                        )
+                        retire(state)
+                    return False
+                url = choice["url"]
             state.wait_since = None
-            url = choice["url"]
             state.attempts += 1
-            # Failover/steal resubmits only what was never mirrored:
-            # everything already fetched is recorded locally.
-            recorded = (local_recorded_ids(state.index)
-                        if state.attempts > 1 else set())
-            remaining = [planned for planned in state.experiments
-                         if planned.experiment_id not in recorded]
+            # Failover resubmits only what was never mirrored:
+            # everything already fetched is recorded locally.  The
+            # worker runs the rest in this order.
+            state.experiments = executor.dispatch_order(
+                planned for planned in state.experiments
+                if planned.experiment_id not in recorded[state.index])
             payload = build_shard_payload(
-                context.executor, context.fault_model, state.index,
-                remaining, worker_parallelism[state.index],
+                executor, context.fault_model, state.index,
+                state.experiments, worker_parallelism[state.index],
                 image_manifest=context.image_manifest,
             )
             try:
@@ -1054,6 +1131,7 @@ class RemoteBackend:
                 view = client_for(url).submit_shard(payload)
             except worker_errors as error:
                 state.excluded.add(url)
+                unreachable.add(url)
                 lose_connection(state, error)
                 return False
             state.url = url
@@ -1063,8 +1141,81 @@ class RemoteBackend:
             state.cancel_relayed = False
             state.last_remote_state = view.get("state")
             state.last_progress = now
+            state.drained = False
             progress.start(state.index)
             return True
+
+        def steal(state: _RemoteShard, now: float) -> None:
+            """Take the shard's unmirrored remainder away from a worker
+            whose lease died; the next tick re-places it by least load.
+            The worker is never contacted — its sockets hang."""
+            detach(state)
+            state.last_progress = now
+
+        def release(victim: _RemoteShard,
+                    requested: list[PlannedExperiment], now: float,
+                    url: str | None = None) -> bool:
+            """Take ``requested`` back from the victim's worker and
+            place what it released as a new placement of the same shard
+            (on ``url``, else by least load).  The worker guarantees
+            none of it ever starts there, so nothing runs twice.  A
+            failed request loses the worker: its answer may have taken
+            experiments.  Returns whether anything moved."""
+            try:
+                released = set(client_for(victim.url).release_shard(
+                    victim.remote_id,
+                    [planned.experiment_id for planned in requested]))
+            except (KeyError, *worker_errors) as error:
+                lose_connection(victim, error)
+                return True
+            if not released:
+                victim.drained = True
+                return False
+            moved = [planned for planned in victim.experiments
+                     if planned.experiment_id in released]
+            victim.experiments = [planned for planned in victim.experiments
+                                  if planned.experiment_id not in released]
+            thief = _RemoteShard(index=victim.index, experiments=moved,
+                                 excluded={victim.url})
+            placements.append(thief)
+            unfinished.add(thief)
+            place(thief, now, url)
+            if all(planned.experiment_id in recorded[victim.index]
+                   for planned in victim.experiments):
+                # Nothing is left running there (a queued or parked
+                # shard released everything): retire the placement.
+                try:
+                    client_for(victim.url).cancel_shard(victim.remote_id)
+                except (KeyError, *worker_errors):
+                    pass  # best effort: nothing more can start there
+                detach(victim, exclude=False)
+                retire(victim)
+            return True
+
+        def rebalance(now: float) -> bool:
+            """When a worker is idle, move the back half of the busiest
+            placement's unstarted tail to it (:func:`release_tail`).
+            Returns whether anything moved."""
+            if cancelled or idle_worker(fleet, assigned,
+                                        unreachable) is None:
+                return False
+            busiest = None
+            for state in open_placements():
+                if state.remote_id is None or state.drained:
+                    continue
+                tail = release_tail(
+                    state.experiments, recorded[state.index], expected,
+                    running=worker_parallelism[state.index] or 1)
+                seconds = sum(expected.get(planned.point.point_id, 1.0)
+                              for planned in tail)
+                if tail and (busiest is None or seconds > busiest[0]):
+                    busiest = (seconds, state, tail)
+            if busiest is None:
+                return False
+            _seconds, victim, tail = busiest
+            url = idle_worker(fleet, assigned,
+                              victim.excluded | unreachable)
+            return url is not None and release(victim, tail, now, url)
 
         def sync_tail(state: _RemoteShard) -> bool:
             """Mirror the worker stream's newline-aligned tail locally;
@@ -1078,7 +1229,9 @@ class RemoteBackend:
             with open(path, "ab") as handle:
                 handle.write(raw)
             state.offset += len(raw)
-            state.done_count += raw.count(b"\n")
+            recorded[state.index].update(
+                json.loads(line)["experiment_id"]
+                for line in raw.splitlines())
             return True
 
         poll = _AdaptivePoll(self.poll_min_seconds, self.poll_max_seconds,
@@ -1090,15 +1243,16 @@ class RemoteBackend:
             if (context.cancel is not None and context.cancel()
                     and not cancelled):
                 cancelled = True
-            for index in sorted(unfinished):
-                state = active[index]
+            for state in open_placements():
+                if state not in unfinished:
+                    continue  # retired by a release earlier this tick
+                index = state.index
                 now = time.monotonic()
                 if state.remote_id is None:
                     if cancelled:
                         # Nothing dispatched and the campaign is
                         # stopping: leave the shard for the resume.
-                        unfinished.discard(index)
-                        progress.finish(index, state="stopped")
+                        retire(state)
                         continue
                     progressed = place(state, now) or progressed
                     continue
@@ -1107,8 +1261,7 @@ class RemoteBackend:
                     # The lease already proved this worker missed its
                     # heartbeats — steal without touching its sockets
                     # (a SIGSTOPped host would stall us until timeout).
-                    steal(state, now, reason="lease expired",
-                          cancel_old=False)
+                    steal(state, now)
                     progressed = True
                     continue
                 client = client_for(state.url)
@@ -1136,36 +1289,40 @@ class RemoteBackend:
                 if status["state"] != state.last_remote_state:
                     state.last_remote_state = status["state"]
                     state.last_progress = now
-                progress.set_done(index, state.done_count)
+                progress.set_done(index, len(recorded[index]))
                 if status["state"] == "failed":
                     failed_shards[index] = (
                         f"shard {index} remote worker failed: "
                         f"{status.get('error') or 'unknown failure'}"
                     )
                     detach(state, exclude=False)
-                    unfinished.discard(index)
-                    progress.finish(index, state="failed")
+                    retire(state)
                     progressed = True
                 elif status["state"] in ("completed", "cancelled"):
                     cancelled = cancelled or status["state"] == "cancelled"
                     detach(state, exclude=False)
-                    unfinished.discard(index)
-                    progress.finish(index)
+                    retire(state)
                     progressed = True
                 elif (not cancelled
                       and now - state.last_progress > self.stall_seconds
                       and idle_capacity(fleet, assigned,
                                         state.excluded | {state.url})):
-                    # A straggler with idle capacity elsewhere: steal
-                    # its unmirrored tail rather than wait it out.
-                    steal(state, now, reason="stalled", cancel_old=True)
-                    progressed = True
+                    # A straggler with idle capacity elsewhere: move
+                    # what it has not started rather than wait it out.
+                    state.last_progress = now
+                    progressed = release(
+                        state,
+                        [planned for planned in state.experiments
+                         if planned.experiment_id not in recorded[index]],
+                        now,
+                    ) or progressed
+            progressed = rebalance(time.monotonic()) or progressed
             progress.emit()
             if unfinished:
                 poll.record(progressed)
                 time.sleep(poll.interval)
 
-        merge_and_backfill(stream, shards, active, failed_shards)
+        merge_and_backfill(stream, shards, recorded, failed_shards)
         cancelled = cancelled or (context.cancel is not None
                                   and context.cancel())
         progress.emit()
@@ -1214,11 +1371,15 @@ class ProcessBackend(RemoteBackend):
     ``/v1`` from a private workspace under ``<stream stem>.workers/``
     next to the stream; the shard payloads carry host-local image paths,
     so no blob is shipped.  Everything else — placement, cancel relay,
-    mirroring, failover, merge — is :meth:`RemoteBackend.execute`: a
-    killed worker's unmirrored tail fails over to a sibling.
+    mirroring, release steals, failover, merge — is
+    :meth:`RemoteBackend.execute`: a killed worker's unmirrored tail
+    fails over to a sibling, and a worker whose shard is done takes the
+    unstarted tail of a busier one.  Each worker is sized at the one
+    shard slot it was spawned for, so a busy one never counts as room.
     """
 
     name = BACKEND_PROCESS
+    pin_capacity = 1
 
     def execute(self, context: ExecutionContext,
                 pending: list[PlannedExperiment],
@@ -1288,12 +1449,14 @@ __all__ = [
     "discard_shard_streams",
     "harness_error_result",
     "idle_capacity",
+    "idle_worker",
     "least_loaded_worker",
     "leftover_shard_streams",
     "merge_and_backfill",
     "merge_shard_stream",
     "record_outcome",
     "recover_shard_streams",
+    "release_tail",
     "shard_stream_path",
     "validate_backend_name",
 ]

@@ -543,11 +543,10 @@ class Campaign:
                         return check()
 
             # Longest-expected-first dispatch keeps the slowest
-            # experiments from starting last.  A stopping rule reads the
-            # stream as it grows, so its order stays the plan's; process
-            # and remote shards generate in plan order too.
-            if (dispatch_key is not None and monitor is None
-                    and config.backend == BACKEND_THREAD):
+            # experiments from starting last; shard payloads carry their
+            # members' expected seconds.  A stopping rule reads the
+            # stream as it grows, so its order stays the plan's.
+            if dispatch_key is not None and monitor is None:
                 recorded_durations = self.scan_cache.lookup_durations(
                     dispatch_key)
                 if recorded_durations is not None:

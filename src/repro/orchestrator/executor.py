@@ -75,9 +75,10 @@ class ExperimentExecutor:
     #: starts; once it returns true, :meth:`run` declines new experiments
     #: (returning ``None``) so a cancelled campaign drains quickly.
     cancel_check: Callable[[], bool] | None = None
-    #: In-process only: recorded seconds per injection point id, from
-    #: which :meth:`iter_mutations` dispatches longest-expected-first.
-    #: Empty means plan order.
+    #: Recorded seconds per injection point id, from which
+    #: :meth:`iter_mutations` dispatches longest-expected-first.  Empty
+    #: means plan order.  Shard payloads carry their members' entries
+    #: (:meth:`expected_for`), so a shard worker orders its part alike.
     expected_seconds: dict[str, float] = field(default_factory=dict)
 
     # -- deterministic derivation ------------------------------------------------
@@ -109,18 +110,31 @@ class ExperimentExecutor:
             experiment.point.file, experiment.point.spec_name,
             experiment.point.ordinal,
         ))
-        if not self.expected_seconds:
+        expected = self.expected_for(ordered)
+        if not expected:
             return ordered
-        fallback = statistics.median(self.expected_seconds.values())
 
         def slowest_first(experiment: PlannedExperiment) -> float:
-            return -self.expected_seconds.get(experiment.point.point_id,
-                                              fallback)
+            return -expected[experiment.point.point_id]
 
         groups = [sorted(group, key=slowest_first)
                   for _, group in groupby(ordered, key=_group_key)]
         groups.sort(key=lambda group: slowest_first(group[0]))
         return [experiment for group in groups for experiment in group]
+
+    def expected_for(
+        self, planned: Iterable[PlannedExperiment],
+    ) -> dict[str, float]:
+        """Expected seconds per point id of ``planned``: the recorded
+        duration, or the median of the recorded ones for a point with
+        none.  Empty when nothing is recorded."""
+        if not self.expected_seconds:
+            return {}
+        fallback = statistics.median(self.expected_seconds.values())
+        return {experiment.point.point_id:
+                self.expected_seconds.get(experiment.point.point_id,
+                                          fallback)
+                for experiment in planned}
 
     def iter_mutations(
         self, planned: Iterable[PlannedExperiment],

@@ -573,6 +573,14 @@ def _read_blob(service, digest) -> bytes:
         raise KeyError(f"unknown blob {digest!r}") from None
 
 
+def _experiment_ids(payload: dict) -> list:
+    ids = payload["experiment_ids"]
+    if not isinstance(ids, list) or not all(isinstance(experiment_id, str)
+                                            for experiment_id in ids):
+        raise ValueError('"experiment_ids" must be a list of strings')
+    return ids
+
+
 def _digests(payload: dict) -> list:
     if not isinstance(payload["digests"], list):
         raise ValueError('"digests" must be a list')
@@ -646,6 +654,11 @@ ROUTES = (
           lambda service, shard_id:
           _stamped(service.cancel_shard(shard_id)),
           missing="unknown_shard", scope=AUTH),
+    Route("release_shard", "POST", "/v1/shards/{shard_id}/release",
+          lambda service, shard_id, body:
+          _stamped(service.release_shard(shard_id, body)),
+          body=JSON_BODY, decode=_experiment_ids, missing="unknown_shard",
+          scope=AUTH),
     Route("shard_stream", "GET", "/v1/shards/{shard_id}/stream.ndjson",
           _shard_tail, query=(("offset", int),), response=TAIL,
           missing="unknown_shard", scope=AUTH, idempotent=True),

@@ -375,6 +375,17 @@ class ProFIPyClient:
         (idempotent); the worker observes it between experiments."""
         return self._call("cancel_shard", shard_id)
 
+    def release_shard(self, shard_id: str,
+                      experiment_ids: list[str]) -> list[str]:
+        """Take back the requested experiments the worker has not handed
+        out yet; returns the released ids, none of which will ever start
+        there.  Not retried: a release whose answer is lost may have
+        taken experiments, so the caller must treat the worker as lost.
+        Raises ``KeyError`` for an unknown shard."""
+        return list(self._call(
+            "release_shard", shard_id,
+            body={"experiment_ids": list(experiment_ids)})["released"])
+
     def shard_stream(self, shard_id: str, offset: int = 0) -> bytes:
         """The shard stream's newline-aligned NDJSON tail from byte
         ``offset``.  Only complete records are returned, so the caller

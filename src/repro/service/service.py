@@ -580,6 +580,14 @@ class ProFIPyService:
         (idempotent); the engine observes it between experiments."""
         return self.shards.cancel(shard_id)
 
+    def release_shard(self, shard_id: str,
+                      experiment_ids: list[str]) -> dict:
+        """Take back the requested experiments the shard has not handed
+        out yet: ``{shard_id, released}``, and none of the released ids
+        will ever start here.  Raises ``KeyError`` for an unknown
+        shard."""
+        return self.shards.release(shard_id, experiment_ids)
+
     def shard_stream_path(self, shard_id: str) -> Path:
         """Where the shard's raw result stream lives (served as a
         newline-aligned NDJSON tail by the HTTP layer)."""

@@ -22,7 +22,11 @@ byte-identically on every backend.
 * ``stream_path`` exposes the shard's ``experiments.jsonl`` for the
   newline-aligned NDJSON tail endpoint;
 * ``cancel`` touches the shard's cancel-flag file, which the engine
-  polls between experiments.
+  polls between experiments;
+* ``release`` takes back experiments the engine has not handed out yet
+  (the shard's :class:`ReleaseGate`, checked before each hand-out), so
+  a dispatcher can move unstarted work to an idle worker without any
+  experiment ever running twice.
 
 Shard ids never repeat within a workspace (max-suffix scan over the
 shard directories, like the job scheduler's id allocation), so a
@@ -34,6 +38,7 @@ remote backend treats as a lost worker and fails over.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -70,6 +75,39 @@ REQUIRED_PAYLOAD_KEYS = (
 )
 
 
+class ReleaseGate:
+    """Which of a shard's experiments may still start.
+
+    The engine calls :meth:`admit` before it hands an experiment to the
+    pool; :meth:`release` takes the requested ids that were not handed
+    out yet.  Both run under one lock, so an id is either admitted (and
+    may run here) or released (and never starts here), never both.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._admitted: set[str] = set()
+        self._released: set[str] = set()
+
+    def admit(self, experiment_id: str) -> bool:
+        with self._lock:
+            if experiment_id in self._released:
+                return False
+            self._admitted.add(experiment_id)
+            return True
+
+    def release(self, experiment_ids) -> list[str]:
+        """The requested ids not yet admitted or released, in request
+        order; each is released exactly once."""
+        with self._lock:
+            taken = [experiment_id for experiment_id
+                     in dict.fromkeys(experiment_ids)
+                     if experiment_id not in self._admitted
+                     and experiment_id not in self._released]
+            self._released.update(taken)
+        return taken
+
+
 @dataclass
 class ShardRun:
     """One accepted shard payload and its execution state."""
@@ -82,6 +120,7 @@ class ShardRun:
     cancelled: bool = False
     error: str = ""
     thread: threading.Thread | None = field(default=None, repr=False)
+    gate: ReleaseGate = field(default_factory=ReleaseGate, repr=False)
 
     @property
     def stream_path(self) -> Path:
@@ -168,6 +207,8 @@ class ShardHost:
             # Parse eagerly: a malformed manifest is the dispatcher's
             # bug and must answer invalid_request, not a failed shard.
             ImageManifest.from_dict(manifest)
+        if "expected_seconds" in payload:
+            _check_expected_seconds(payload["expected_seconds"])
         with self._lock:
             shard_id = self._next_shard_id()
             directory = self.shards_dir / shard_id
@@ -190,6 +231,7 @@ class ShardHost:
         body["cancel_flag"] = str(run.cancel_flag)
         body["base_dir"] = str(directory / "sandboxes")
         body.setdefault("artifacts_dir", None)
+        body["admit"] = run.gate.admit
         thread = threading.Thread(target=self._run, args=(run, body),
                                   daemon=True)
         run.thread = thread
@@ -290,11 +332,38 @@ class ShardHost:
         run.cancel_flag.touch()
         return self.status(shard_id)
 
+    def release(self, shard_id: str, experiment_ids: list[str]) -> dict:
+        """Take back the requested experiments this shard's engine has
+        not handed out yet: none of the returned ids will ever start on
+        this worker.  A queued (or never started) shard releases every
+        requested id."""
+        run = self._get(shard_id)
+        released = run.gate.release(experiment_ids)
+        with self._lock:
+            run.total = max(0, run.total - len(released))
+        return {"shard_id": shard_id, "released": released}
+
     def join(self, timeout: float | None = None) -> None:
         """Wait for every accepted shard to finish (test/shutdown help)."""
         for run in list(self._runs.values()):
             if run.thread is not None:
                 run.thread.join(timeout)
+
+
+def _check_expected_seconds(expected) -> None:
+    """``expected_seconds`` must map point ids to finite, non-negative
+    seconds (the worker's dispatch order is computed from it)."""
+    if not isinstance(expected, dict):
+        raise ValueError("shard payload 'expected_seconds' must be an "
+                         "object")
+    for seconds in expected.values():
+        if (isinstance(seconds, bool)
+                or not isinstance(seconds, (int, float))
+                or (isinstance(seconds, float)
+                    and not math.isfinite(seconds))
+                or seconds < 0):
+            raise ValueError("shard payload 'expected_seconds' values "
+                             "must be finite, non-negative seconds")
 
 
 def _line_count(path: Path) -> int:
@@ -317,6 +386,7 @@ __all__ = [
     "QUEUED",
     "REQUIRED_PAYLOAD_KEYS",
     "RUNNING",
+    "ReleaseGate",
     "ShardHost",
     "ShardRun",
     "_line_count",

@@ -322,6 +322,14 @@ def wait_until(predicate, timeout: float = 120.0,
     return False
 
 
+def worker_shard_streams(workspace: Path) -> list[Path]:
+    """The worker-side shard streams of a process-backend run in
+    ``workspace``, one per placement (kept by the ``kept_workers``
+    fixture)."""
+    return sorted(workspace.glob(
+        "experiments.workers/worker-*/shards/*/experiments.jsonl"))
+
+
 def stream_projection(path: Path) -> bytes:
     """Canonical stream bytes minus the volatile timing/log fields —
     two *different runs* of the same campaign agree on exactly this,

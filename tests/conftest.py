@@ -1,5 +1,6 @@
 """Shared fixtures: a tiny injectable project used across orchestrator tests."""
 
+import shutil
 import textwrap
 
 import pytest
@@ -14,6 +15,20 @@ def pytest_configure(config):
         "markers",
         "integration: end-to-end test that spawns processes or live servers",
     )
+
+
+@pytest.fixture
+def kept_workers(monkeypatch):
+    """Keep the process backend's loopback worker workspaces
+    (``<stream stem>.workers/``), which a run otherwise removes, so the
+    worker-side shard streams can be read afterwards."""
+    rmtree = shutil.rmtree
+
+    def keep_workers(path, *args, **kwargs):
+        if not str(path).endswith(".workers"):
+            rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "rmtree", keep_workers)
 
 
 TOY_APP = textwrap.dedent(

@@ -15,6 +15,7 @@ the remote backend over loopback workers it spawns, so the same
 failover covers a killed loopback worker.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -36,6 +37,7 @@ from chaos import (
     stream_projection,
     truncate_mid_record,
     wait_until,
+    worker_shard_streams,
 )
 from conftest import TOY_SPEC
 from repro.orchestrator.backends import leftover_shard_streams
@@ -749,6 +751,39 @@ def test_process_worker_killed_mid_shard_fails_over(chaos_env, tmp_path):
     assert all(e.status != "harness_error" for e in result.experiments)
     assert_streams_equivalent(workspace / "experiments.jsonl",
                               chaos_env.reference_stream)
+
+
+def test_stalled_loopback_shard_never_reruns_started_work(
+        tmp_path, monkeypatch, kept_workers):
+    """Three experiments of about 4 s on two loopback shards, with
+    ``stall_seconds`` at 2 s: a stalled shard on a live worker gives up
+    only what it has not started, and a busy loopback worker is never
+    room.  Every experiment runs in exactly one worker-side shard
+    stream, and the campaign takes about its serial critical path (two
+    experiments back to back, plus the spawn) instead of re-running
+    started experiments on a busy sibling."""
+    from repro.orchestrator.backends import RemoteBackend
+
+    monkeypatch.setattr(RemoteBackend, "stall_seconds", 2.0)
+    project = build_chaos_project(tmp_path / "target", functions=3,
+                                  startup_sleep=2.0)
+    workspace = tmp_path / "ws"
+    result = Campaign(make_chaos_config(
+        project, TOY_SPEC, workspace, "process", 2,
+    )).run()
+    assert result.executed == 3
+    assert all(e.status != "harness_error" for e in result.experiments)
+    ids = sorted(e.experiment_id for e in result.experiments)
+    assert sorted(Counter(shard_index(experiment_id, 2)
+                          for experiment_id in ids).values()) == [1, 2]
+    ran = Counter(
+        json.loads(line)["experiment_id"]
+        for path in worker_shard_streams(workspace)
+        for line in path.read_text().splitlines()
+    )
+    assert sorted(ran) == ids
+    assert set(ran.values()) == {1}, f"experiments ran twice: {ran}"
+    assert result.execution_seconds < 12.0, result.execution_seconds
 
 
 def test_process_backend_leaves_no_process_behind(chaos_env, tmp_path):

@@ -11,9 +11,10 @@ experiment no longer starts last.  Dispatch order never changes results.
 
 import json
 import textwrap
+from collections import Counter
 
 import pytest
-from chaos import stream_projection
+from chaos import stream_projection, worker_shard_streams
 
 from repro.dsl.parser import parse_spec
 from repro.faultmodel.model import FaultModel
@@ -24,7 +25,7 @@ from repro.orchestrator.experiment import (
     STATUS_HARNESS_ERROR,
     ExperimentResult,
 )
-from repro.orchestrator.plan import PlannedExperiment
+from repro.orchestrator.plan import PlannedExperiment, shard_index
 from repro.orchestrator.stream import ExperimentStream
 from repro.sandbox.image import SandboxImage
 from repro.scanner.cache import DURATIONS_FORMAT_VERSION, ScanCache
@@ -282,12 +283,43 @@ class TestCampaignOrder:
         assert stream_projection(ordered.experiments_path) == \
             stream_projection(unordered.experiments_path)
 
-    def test_process_shards_keep_plan_order(self, project, model, tmp_path):
+    def test_process_shards_dispatch_longest_first(
+            self, project, model, tmp_path, kept_workers):
         run(make_config(project, model, tmp_path, "first"))
-        campaign, _, lines = run(make_config(
-            project, model, tmp_path, "second", backend="process"))
-        assert dispatch_lines(lines) == []
-        assert campaign.scan_cache.stats()["durations_hits"] == 0
+        [entry] = durations_entries(tmp_path / "cache")
+        write_durations(entry, SKEWED)
+        key = entry.name[len("durations-"):-len(".json")]
+
+        campaign, result, lines = run(make_config(
+            project, model, tmp_path, "second", backend="process",
+            shards=2))
+        assert dispatch_lines(lines) == [
+            f"[order] dispatch longest-first from 8 recorded durations "
+            f"(key {key[:12]})"
+        ]
+        assert campaign.scan_cache.stats()["durations_hits"] == 1
+        # One slot per worker, so each worker-side shard stream records
+        # in start order.  A release steal splits a shard into a prefix
+        # of its order (left behind) and the released rest, which the
+        # idle worker runs in their own dispatch order.
+        executor = ExperimentExecutor(image=None, workload=None, models={},
+                                      base_dir=None,
+                                      expected_seconds=SKEWED)
+        ran = Counter()
+        streams = worker_shard_streams(tmp_path / "second")
+        assert len(streams) >= 2
+        for path in streams:
+            started = [PlannedExperiment.from_dict(json.loads(line))
+                       for line in path.read_text().splitlines()]
+            assert len({shard_index(planned.experiment_id, 2)
+                        for planned in started}) <= 1
+            assert [planned.experiment_id for planned in started] == [
+                planned.experiment_id
+                for planned in executor.dispatch_order(started)]
+            ran.update(planned.experiment_id for planned in started)
+        assert sorted(ran) == sorted(experiment.experiment_id
+                                     for experiment in result.experiments)
+        assert set(ran.values()) == {1}
 
     def test_stopping_rule_keeps_the_base_order(
             self, project, model, tmp_path, started):

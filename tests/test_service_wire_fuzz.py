@@ -129,8 +129,11 @@ class Wire:
                     "fault_model": small_model().to_dict(),
                     "workload": None, "trigger": True, "rounds": 2,
                     "campaign_seed": 0, "parallelism": 1,
+                    "expected_seconds": {"WRR:app.py:0": 1.5},
                     "image": {"source_dir": str(self.target),
                               "staging_dir": str(self.target), "env": {}}}
+        if route.name == "release_shard":
+            return {"experiment_ids": ["exp-0001"]}
         if route.name == "missing_blobs":
             return {"digests": [BLOB_DIGEST]}
         if route.name == "register_worker":

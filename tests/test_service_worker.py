@@ -9,9 +9,13 @@ views tolerating a corrupt/partially-written ``progress.json``.
 
 import json
 import textwrap
+import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
+from chaos import build_chaos_project
 
 from repro.common.fsutil import write_json
 from repro.orchestrator.backends import build_shard_payload
@@ -22,7 +26,7 @@ from repro.scanner.scan import scan_file
 from repro.service.client import ProFIPyClient
 from repro.service.http import start_server
 from repro.service.service import ProFIPyService
-from repro.service.shards import REQUIRED_PAYLOAD_KEYS, ShardHost
+from repro.service.shards import REQUIRED_PAYLOAD_KEYS, ShardHost, ShardRun
 from repro.workload.spec import WorkloadSpec
 
 
@@ -264,6 +268,121 @@ class TestWorkerEndpoints:
             client.cancel_shard("shard-9999")
         with pytest.raises(ValueError, match="missing keys"):
             client.submit_shard({"shard": 0})
+
+
+# -- release gate ------------------------------------------------------------------
+
+
+def _six_experiment_payload(tmp_path, toy_model, startup_sleep):
+    """A runnable one-slot shard of six experiments over the chaos
+    project, and its experiment ids in plan order."""
+    project = build_chaos_project(tmp_path / "six", functions=6,
+                                  startup_sleep=startup_sleep)
+    workload = WorkloadSpec(commands=["{python} run.py"],
+                            command_timeout=30.0)
+    payload = _shard_payload(project, toy_model, tmp_path,
+                             workload=workload, parallelism=1)
+    return payload, [entry["experiment_id"] for entry in payload["planned"]]
+
+
+def _recorded_ids(host, shard_id):
+    path = host.stream_path(shard_id)
+    if not path.exists():
+        return []
+    return [json.loads(line)["experiment_id"]
+            for line in path.read_text().splitlines()]
+
+
+class TestReleaseGate:
+    def test_concurrent_releases_never_overlap_recorded_work(
+            self, toy_model, tmp_path):
+        host = ShardHost(tmp_path / "shards")
+        payload, ids = _six_experiment_payload(tmp_path, toy_model, 0.1)
+        shard_id = host.submit(payload)["shard_id"]
+        released = []
+
+        def release_again_and_again():
+            # One id at a time from the back, over and over, while the
+            # engine admits from the front.
+            while host.status(shard_id)["state"] in ("queued", "running"):
+                for experiment_id in reversed(ids):
+                    released.extend(host.release(
+                        shard_id, [experiment_id])["released"])
+                    time.sleep(0.01)
+
+        deadline = time.monotonic() + 60
+        while not host.status(shard_id)["recorded"]:
+            assert time.monotonic() < deadline, "nothing was recorded"
+            time.sleep(0.02)
+        releaser = threading.Thread(target=release_again_and_again)
+        releaser.start()
+        releaser.join(timeout=120)
+        status = host.status(shard_id)
+        assert status["state"] == "completed"
+        recorded = _recorded_ids(host, shard_id)
+        assert released and recorded
+        assert not set(released) & set(recorded)
+        assert sorted(released + recorded) == sorted(ids)
+        assert status["total"] == status["recorded"] == len(recorded)
+
+    def test_queued_shard_releases_everything(self, toy_model, tmp_path):
+        host = ShardHost(tmp_path / "shards", max_concurrent=1)
+        payload, ids = _six_experiment_payload(tmp_path, toy_model, 0.05)
+        first = host.submit(payload)["shard_id"]
+        second = host.submit(payload)["shard_id"]
+        assert host.status(second)["state"] == "queued"
+        assert host.release(second, ids)["released"] == ids
+        assert host.release(second, ids)["released"] == []
+        host.join(timeout=120)
+        assert host.status(first)["recorded"] == len(ids)
+        assert host.status(second)["state"] == "completed"
+        assert host.status(second)["total"] == 0
+        assert _recorded_ids(host, second) == []
+
+    def test_parked_shard_releases_everything(self, tmp_path):
+        # Accepted but never started, as a silent straggler would be.
+        host = ShardHost(tmp_path / "shards")
+        directory = host.shards_dir / "shard-0001"
+        directory.mkdir(parents=True)
+        host._runs["shard-0001"] = ShardRun(
+            shard_id="shard-0001", shard=0, total=3, directory=directory)
+        ids = ["exp-0003", "exp-0001", "exp-0002"]
+        assert host.release("shard-0001", ids) == {
+            "shard_id": "shard-0001", "released": ids}
+        assert host.status("shard-0001")["total"] == 0
+
+    def test_unknown_shard_answers_404(self, live_worker):
+        service, client = live_worker
+        with pytest.raises(KeyError, match="unknown shard"):
+            client.release_shard("shard-9999", ["exp-0001"])
+        status, body = _post(client, "/v1/shards/shard-9999/release",
+                             {"experiment_ids": ["exp-0001"]})
+        assert (status, body["error"]["code"]) == (404, "unknown_shard")
+
+    @pytest.mark.parametrize("expected", [
+        "slow", ["R1:a.py:0"], {"WRR:app.py:0": -1.0},
+        {"WRR:app.py:0": True}, {"WRR:app.py:0": "1.5"},
+    ], ids=["string", "list", "negative", "bool", "string-seconds"])
+    def test_malformed_expected_seconds_is_invalid_request(
+            self, expected, toy_project, toy_model, tmp_path, live_worker):
+        _service, client = live_worker
+        payload = _shard_payload(toy_project, toy_model, tmp_path)
+        payload["expected_seconds"] = expected
+        status, body = _post(client, "/v1/shards", payload)
+        assert (status, body["error"]["code"]) == (400, "invalid_request")
+        assert client.list_shards() == []
+
+
+def _post(client, path, body):
+    """POST ``body`` as JSON; the status and the decoded answer."""
+    request = urllib.request.Request(
+        client.base_url + path, data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 # -- corrupt progress.json regression ----------------------------------------------

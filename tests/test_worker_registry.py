@@ -335,6 +335,56 @@ class TestPlacementHelpers:
                                  "max_concurrent": None, "load": None}
         assert idle_capacity(fleet, {"http://a:1": 1, "http://b:1": 3})
 
+    def test_idle_worker(self):
+        from repro.orchestrator.backends import idle_worker
+
+        fleet = self._fleet()
+        # Both alive workers have a free slot and none of our placements.
+        assert idle_worker(fleet, {}) == "http://a:1"
+        # A worker holding one of our placements is never idle.
+        assert idle_worker(fleet, {"http://a:1": 1}) == "http://b:1"
+        assert idle_worker(fleet, {}, excluded={"http://a:1"}) == \
+            "http://b:1"
+        # Known load without a free slot is not idle either.
+        fleet["http://b:1"]["load"] = {"running": 2, "queued": 2}
+        assert idle_worker(fleet, {"http://a:1": 1}) is None
+        # Unknown load: no placement of ours is enough.
+        fleet["http://pin:1"] = {"url": "http://pin:1", "state": ALIVE,
+                                 "max_concurrent": 1, "load": None}
+        assert idle_worker(fleet, {"http://a:1": 1}) == "http://pin:1"
+        assert idle_worker(fleet, {"http://a:1": 1,
+                                   "http://pin:1": 1}) is None
+
+    def test_release_tail_takes_the_back_half_by_expected_seconds(self):
+        from repro.orchestrator.backends import release_tail
+        from repro.orchestrator.plan import PlannedExperiment
+        from repro.scanner.points import InjectionPoint
+
+        planned = [PlannedExperiment(
+            experiment_id=f"exp-{ordinal}",
+            point=InjectionPoint(spec_name="S", file="a.py",
+                                 ordinal=ordinal, lineno=1, end_lineno=1,
+                                 snippet="", component=""))
+            for ordinal in range(5)]
+
+        def ids(tail):
+            return [experiment.experiment_id for experiment in tail]
+
+        expected = {"S:a.py:0": 4.0, "S:a.py:1": 3.0, "S:a.py:2": 2.0,
+                    "S:a.py:3": 1.0, "S:a.py:4": 1.0}
+        # exp-0 is recorded and exp-1 presumed running: of the 4 s
+        # tail, the back 2 s move.
+        assert ids(release_tail(planned, {"exp-0"}, expected,
+                                running=1)) == ["exp-3", "exp-4"]
+        # At least one experiment, even past half.
+        assert ids(release_tail(planned, {"exp-0", "exp-1", "exp-2"},
+                                expected, running=0)) == ["exp-4"]
+        # No durations: every experiment weighs the same.
+        assert ids(release_tail(planned, set(), {}, running=1)) == \
+            ["exp-3", "exp-4"]
+        assert release_tail(planned, {"exp-0", "exp-1", "exp-2",
+                                      "exp-3"}, {}, running=1) == []
+
     def test_adaptive_poll_decays_and_resets(self):
         from repro.orchestrator.backends import _AdaptivePoll
 
