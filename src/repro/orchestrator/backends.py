@@ -15,14 +15,17 @@ pluggable behind one :class:`ExecutionBackend` protocol, selected via
 * :class:`RemoteBackend` (``"remote"``) — per-shard workers behind the
   versioned ``/v1`` service API: the pending plan is partitioned by the
   deterministic shard partitioner
-  (:func:`repro.orchestrator.plan.shard_index`), each shard's payload is
-  placed on a worker (``POST /v1/shards`` on a ``profipy worker`` host,
-  which runs the same pipelined engine), and the parent polls shard
-  status, mirrors each worker's stream into a local
-  ``experiments-<shard>.jsonl`` (so a killed campaign still resumes from
-  everything fetched so far), relays cooperative cancellation, moves
-  unstarted work from a busy worker to an idle one by release, fails a
-  shard over to another worker when its worker is lost, and finally
+  (:func:`repro.orchestrator.plan.shard_index`), and each shard's
+  payload is placed on a worker (``POST /v1/shards`` on a ``profipy
+  worker`` host, which runs the same pipelined engine).  The parent's
+  dispatcher then moves
+  each *placement* (part of a shard, submitted once to one worker)
+  through explicit transitions: **place**, **poll** (cancel relay,
+  status, and mirroring the worker's stream into a local
+  ``experiments-<shard>.jsonl``, so a killed campaign still resumes
+  from everything fetched so far), **stalled** and **rebalance** (move
+  unstarted work from a busy worker to an idle one by release),
+  **lose** (fail over from a lost worker) and **retire**.  It finally
   merges the shard streams deterministically (sorted by experiment id)
   into the canonical stream.
 * :class:`ProcessBackend` (``"process"``) — the remote backend over
@@ -55,12 +58,14 @@ feed the service layer persists for ``/v1/jobs/{id}``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import http.client
 import json
 import re
 import shutil
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -640,12 +645,6 @@ def _run_shard_worker(payload: dict) -> dict:
 
 # -- remote backend ----------------------------------------------------------------
 
-#: Everything a lost worker connection can look like from urllib: refused
-#: / reset / timed-out sockets (``URLError`` subclasses ``OSError``, and
-#: the client's ``TransportError`` subclasses ``ConnectionError``) and
-#: torn HTTP framing from a worker killed mid-response.
-_WORKER_CONNECTION_ERRORS = (OSError, http.client.HTTPException)
-
 #: Registry worker states the dispatcher keys placement on (string
 #: literals rather than an import: the orchestrator layer must not pull
 #: the service layer in at import time).
@@ -789,91 +788,491 @@ def release_tail(experiments: list[PlannedExperiment], recorded,
 
 
 @dataclass(eq=False)
-class _RemoteShard:
-    """Parent-side state of one placement: part of a shard, dispatched
-    to a remote worker.  Each shard starts as one placement; a release
-    steal adds another of the same shard index, mirrored into the same
-    local shard stream."""
+class _Placement:
+    """Parent-side state of one placement: experiments of one shard,
+    submitted at most once, to one worker.  Each shard starts as one
+    placement; failover and release each open a new placement of the
+    same shard index, mirrored into the same local shard stream."""
 
     index: int
-    #: Once placed: what the worker runs, in its dispatch order.
+    #: What the worker runs, in its dispatch order once submitted.
     experiments: list[PlannedExperiment]
-    #: Submission attempts so far (failover counts a new attempt).
-    attempts: int = 0
     #: Connection failures since the last mirrored progress — the
-    #: failover give-up budget.  Steals do not count: a shard stolen
-    #: twice must still survive its first real connection blip.
+    #: failover give-up budget, inherited by a failover placement.
+    #: Steals do not count: a shard stolen twice must still survive its
+    #: first real connection blip.
     failures: int = 0
     #: Workers that dropped or stalled this shard (avoided on retry).
     excluded: set = field(default_factory=set)
+    #: Set by the one submission, never again.
     url: str | None = None
     remote_id: str | None = None
-    #: Bytes of the *current* remote stream mirrored locally.
+    #: Bytes of the remote stream mirrored locally.
     offset: int = 0
     cancel_relayed: bool = False
-    #: Last time this shard visibly moved (submitted, mirrored bytes, or
-    #: remote state transition) — the straggler detector's clock.
+    #: Last time this placement visibly moved (submitted, mirrored
+    #: bytes, or remote state transition) — the straggler detector's
+    #: clock.
     last_progress: float = 0.0
     #: The remote state last observed (transitions count as progress).
     last_remote_state: str | None = None
-    #: When the shard started waiting for an alive worker to appear.
+    #: When the placement started waiting for an alive worker.
     wait_since: float | None = None
     #: Set once a release took nothing: everything left was handed out.
     drained: bool = False
 
 
+class _Dispatcher:
+    """One sharded campaign's dispatch: the open placements, and the
+    transitions :class:`RemoteBackend` describes as methods."""
+
+    def __init__(self, backend: "RemoteBackend", context: ExecutionContext,
+                 pending: list[PlannedExperiment],
+                 stream: ExperimentStream) -> None:
+        # Imported lazily: the client module imports the campaign layer,
+        # which imports this module at import time.
+        from repro.common.retry import RetryPolicy
+        from repro.service.api import APIError
+        from repro.service.client import ProFIPyClient
+
+        static = [url.rstrip("/") for url in (context.workers or []) if url]
+        self.shards = _partition(pending, context.shards)
+        if any(self.shards) and not static and context.registry is None:
+            raise ValueError(
+                "remote backend requires worker URLs "
+                "(CampaignConfig.workers / --worker) or a registry "
+                "(CampaignConfig.registry_url / --registry)"
+            )
+        self.backend = backend
+        self.context = context
+        self.stream = stream
+        self.executor = context.executor
+        #: Everything a lost worker looks like: refused / reset /
+        #: timed-out sockets (``URLError`` subclasses ``OSError``, the
+        #: client's ``TransportError`` subclasses ``ConnectionError``),
+        #: torn HTTP framing from a worker killed mid-response, an
+        #: ``APIError`` (a worker answering 500s — disk full, handler
+        #: bug — is as lost as one refusing connections), and
+        #: ``KeyError``: a restarted worker answers ``unknown_shard``.
+        #: ``invalid_request`` → ``ValueError`` stays loud: that is a
+        #: dispatcher bug, and retrying it elsewhere cannot succeed.
+        self.lost = (KeyError, OSError, http.client.HTTPException, APIError)
+        self.progress = ShardProgress(backend.name,
+                                      [len(s) for s in self.shards],
+                                      sink=context.on_progress)
+        self.progress.emit()
+        stream.path.parent.mkdir(parents=True, exist_ok=True)
+        # Status/tail polls are idempotent GETs: a couple of quick
+        # retries (bounded well under one poll tick's worth of damage)
+        # absorb connection blips without masking a dead worker.
+        self.connect = functools.partial(
+            ProFIPyClient, timeout=backend.request_timeout,
+            retry_policy=RetryPolicy(
+                attempts=2, base_delay=0.05, max_delay=0.25,
+                deadline=backend.request_timeout * 1.5,
+                attempt_timeout=backend.request_timeout))
+        self.clients: dict[str, ProFIPyClient] = {}
+        # Static URLs are *pins*: always present, never lease-expired
+        # (nobody heartbeats for them).  Mirror them into the registry
+        # as unmanaged peers so `profipy workers list` shows the whole
+        # fleet; best-effort — placement works off the local view
+        # either way.
+        if context.registry is not None:
+            for url in static:
+                try:
+                    context.registry.register_worker({"url": url,
+                                                      "managed": False})
+                except Exception:  # noqa: BLE001 - visibility only
+                    pass
+        self.static = set(static)
+        self.fleet: dict[str, dict] = {
+            url: {"url": url, "state": _ALIVE,
+                  "max_concurrent": backend.pin_capacity}
+            for url in static
+        }
+        self.last_refresh: float | None = None
+        self.expected = self.executor.expected_for(pending)
+        indices = [index for index, experiments in enumerate(self.shards)
+                   if experiments]
+        self.parallelism = dict(zip(
+            indices, _shard_parallelism(context.parallelism, len(indices))))
+        #: Experiment ids mirrored into each local shard stream.
+        self.recorded: dict[int, set[str]] = {index: set()
+                                              for index in indices}
+        #: Workers that lost a connection: never a release target again
+        #: (a dead static pin still looks alive and idle).
+        self.unreachable: set[str] = set()
+        self.failed: dict[int, str] = {}
+        self.cancelled = False
+        self.open = [_Placement(index, self.shards[index])
+                     for index in indices]
+
+    def run(self) -> ExecutionOutcome:
+        """Tick until every placement is retired, then merge the local
+        shard streams into the canonical stream."""
+        backend, cancel = self.backend, self.context.cancel
+        poll = _AdaptivePoll(backend.poll_min_seconds,
+                             backend.poll_max_seconds, backend.poll_backoff)
+        while self.open:
+            self.refresh_fleet(time.monotonic())
+            self.cancelled = self.cancelled or (cancel is not None
+                                                and cancel())
+            progressed = False
+            for placement in list(self.open):
+                if placement not in self.open:
+                    continue  # retired or failed over earlier this tick
+                now = time.monotonic()
+                if placement.remote_id is not None:
+                    progressed = self.poll(placement, now) or progressed
+                elif self.cancelled:
+                    # Nothing dispatched and the campaign is stopping:
+                    # leave the shard for the resume.
+                    self.retire(placement)
+                else:
+                    progressed = self.place(placement, now) or progressed
+            progressed = self.rebalance(time.monotonic()) or progressed
+            self.progress.emit()
+            if self.open:
+                poll.record(progressed)
+                time.sleep(poll.interval)
+        merge_and_backfill(self.stream, self.shards, self.recorded,
+                           self.failed)
+        cancelled = self.cancelled or (cancel is not None and cancel())
+        self.progress.emit()
+        return ExecutionOutcome(cancelled=cancelled,
+                                shards=self.progress.snapshot()["shards"])
+
+    # -- the fleet -------------------------------------------------------------
+
+    def client(self, url: str):
+        if url not in self.clients:
+            self.clients[url] = self.connect(url)
+        return self.clients[url]
+
+    def refresh_fleet(self, now: float) -> None:
+        """Re-read the registry's fleet view, at most once per
+        ``fleet_refresh_seconds``; a worker pruned from it is dead."""
+        registry = self.context.registry
+        if registry is None or (
+                self.last_refresh is not None
+                and now - self.last_refresh
+                < self.backend.fleet_refresh_seconds):
+            return
+        self.last_refresh = now
+        try:
+            views = registry.list_workers()
+        except Exception:  # noqa: BLE001 - keep the last view
+            # A registry blip must not strand the campaign: the previous
+            # fleet view stays in force until the next successful
+            # refresh.
+            return
+        seen = set()
+        for view in views:
+            url = str(view.get("url", "")).rstrip("/")
+            if url:
+                seen.add(url)
+                self.fleet[url] = {"state": _ALIVE, **view, "url": url}
+        for url, view in self.fleet.items():
+            if url not in seen and url not in self.static:
+                view["state"] = _DEAD
+
+    def assigned(self) -> "Counter[str]":
+        """Submitted open placements per worker URL — folded into
+        placement scores so N same-tick placements do not all pile onto
+        the worker whose heartbeat looked idlest."""
+        return Counter(placement.url for placement in self.open
+                       if placement.remote_id is not None)
+
+    def max_attempts(self) -> int:
+        """One initial try plus a failover to every other non-dead
+        worker — recomputed live, since the registry fleet grows and
+        shrinks mid-campaign."""
+        return max(2, 1 + sum(view["state"] != _DEAD
+                              for view in self.fleet.values()))
+
+    # -- transitions -----------------------------------------------------------
+
+    def place(self, placement: _Placement, now: float,
+              url: str | None = None) -> bool:
+        """Submit the placement's unmirrored remainder to ``url``, else
+        the least-loaded alive worker; returns whether it was submitted.
+        No alive worker → wait (give up past ``placement_timeout``)."""
+        self.refresh_fleet(now)
+        if url is None:
+            choice = least_loaded_worker(self.fleet, self.assigned(),
+                                         placement.excluded)
+            if choice is None:
+                timeout = self.backend.placement_timeout
+                if placement.wait_since is None:
+                    placement.wait_since = now
+                elif now - placement.wait_since > timeout:
+                    self.retire(placement, "unplaceable: no alive worker "
+                                           f"for {timeout:g}s")
+                return False
+            url = choice["url"]
+        # Failover resubmits only what was never mirrored: everything
+        # already fetched is recorded locally.  The worker runs the rest
+        # in this order.
+        placement.experiments = self.executor.dispatch_order(
+            planned for planned in placement.experiments
+            if planned.experiment_id not in self.recorded[placement.index])
+        payload = build_shard_payload(
+            self.executor, self.context.fault_model, placement.index,
+            placement.experiments, self.parallelism[placement.index],
+            image_manifest=self.context.image_manifest,
+        )
+        placement.url = url
+        manifest, blobs = self.context.image_manifest, self.context.blob_store
+        client = self.client(url)
+        try:
+            if manifest is not None and blobs is not None:
+                # Content-addressed shipping: ask the worker which blobs
+                # it lacks and upload exactly those.  The probe runs per
+                # placement (not once per worker): a worker that
+                # restarted mid-campaign lost its in-memory shards but
+                # usually not its blob cache, and a cold one reports
+                # everything missing.  Dedup across shards and campaigns
+                # falls out — an unchanged tree re-ships nothing but
+                # digests.
+                for digest in client.missing_blobs(manifest.digests()):
+                    client.put_blob(digest, blobs.get_bytes(digest))
+            view = client.submit_shard(payload)
+        except KeyError:
+            # No worker call above answers one: this is the
+            # coordinator's own blob store missing a blob.  Retrying
+            # elsewhere cannot succeed, so it stays loud.
+            raise
+        except self.lost as error:
+            self.lose(placement, error)
+            return False
+        placement.remote_id = view["shard_id"]
+        placement.last_remote_state = view.get("state")
+        placement.last_progress = now
+        self.progress.start(placement.index)
+        return True
+
+    def poll(self, placement: _Placement, now: float) -> bool:
+        """Relay a cancel, read the placement's status and mirror the
+        worker stream's newline-aligned tail into the local shard
+        stream; then retire a finished placement or release a stalled
+        one.  Returns whether anything moved."""
+        index = placement.index
+        if self.fleet.get(placement.url, {}).get("state") == _DEAD:
+            # The lease already proved this worker missed its heartbeats
+            # — steal without touching its sockets (a SIGSTOPped host
+            # would stall us until timeout).
+            self.lose(placement, None)
+            return True
+        client = self.client(placement.url)
+        if self.cancelled and not placement.cancel_relayed:
+            try:
+                client.cancel_shard(placement.remote_id)
+                placement.cancel_relayed = True
+            except self.lost:
+                pass  # retried next tick; the status poll below handles
+                # a worker that is actually gone (or one that restarted
+                # and answers unknown_shard)
+        try:
+            status = client.shard_status(placement.remote_id)
+            raw = client.shard_stream(placement.remote_id,
+                                      offset=placement.offset)
+            if raw:
+                with open(shard_stream_path(self.stream.path, index),
+                          "ab") as handle:
+                    handle.write(raw)
+                placement.offset += len(raw)
+                self.recorded[index].update(
+                    json.loads(line)["experiment_id"]
+                    for line in raw.splitlines())
+                placement.last_progress = now
+                placement.failures = 0
+        except self.lost as error:
+            # KeyError: the worker restarted and forgot the shard — its
+            # stream is gone with it.  Either way, a lost worker: fail
+            # the placement over.
+            self.lose(placement, error)
+            return True
+        if status["state"] != placement.last_remote_state:
+            placement.last_remote_state = status["state"]
+            placement.last_progress = now
+        self.progress.set_done(index, len(self.recorded[index]))
+        if status["state"] == "failed":
+            self.retire(placement, "remote worker failed: "
+                        f"{status.get('error') or 'unknown failure'}")
+            return True
+        if status["state"] in ("completed", "cancelled"):
+            self.cancelled = self.cancelled or status["state"] == "cancelled"
+            self.retire(placement)
+            return True
+        return self.stalled(placement, now) or bool(raw)
+
+    def stalled(self, placement: _Placement, now: float) -> bool:
+        """A straggler past ``stall_seconds`` with idle capacity
+        elsewhere releases its whole unstarted remainder rather than
+        wait it out; returns whether anything moved."""
+        if (self.cancelled
+                or now - placement.last_progress <= self.backend.stall_seconds
+                or not idle_capacity(self.fleet, self.assigned(),
+                                     placement.excluded | {placement.url})):
+            return False
+        placement.last_progress = now
+        recorded = self.recorded[placement.index]
+        return self.release(placement, [
+            planned for planned in placement.experiments
+            if planned.experiment_id not in recorded], now)
+
+    def rebalance(self, now: float) -> bool:
+        """When a worker is idle, move the back half of the busiest
+        placement's unstarted tail to it (:func:`release_tail`).
+        Returns whether anything moved."""
+        assigned = self.assigned()
+        if self.cancelled or idle_worker(self.fleet, assigned,
+                                         self.unreachable) is None:
+            return False
+        tails = [
+            (release_tail(placement.experiments,
+                          self.recorded[placement.index], self.expected,
+                          running=self.parallelism[placement.index] or 1),
+             placement)
+            for placement in self.open
+            if placement.remote_id is not None and not placement.drained
+        ]
+        tails = [(tail, placement) for tail, placement in tails if tail]
+        if not tails:
+            return False
+        tail, victim = max(tails, key=lambda item: sum(
+            self.expected.get(planned.point.point_id, 1.0)
+            for planned in item[0]))
+        url = idle_worker(self.fleet, assigned,
+                          victim.excluded | self.unreachable)
+        return url is not None and self.release(victim, tail, now, url)
+
+    def release(self, victim: _Placement,
+                requested: list[PlannedExperiment], now: float,
+                url: str | None = None) -> bool:
+        """Take ``requested`` back from the victim's worker and place
+        what it released as a new placement of the same shard (on
+        ``url``, else by least load).  The worker guarantees none of it
+        ever starts there, so nothing runs twice.  A failed request
+        loses the worker: its answer may have taken experiments.
+        Returns whether anything moved."""
+        client = self.client(victim.url)
+        try:
+            released = set(client.release_shard(
+                victim.remote_id,
+                [planned.experiment_id for planned in requested]))
+        except self.lost as error:
+            self.lose(victim, error)
+            return True
+        if not released:
+            victim.drained = True
+            return False
+        moved = [planned for planned in victim.experiments
+                 if planned.experiment_id in released]
+        victim.experiments = [planned for planned in victim.experiments
+                              if planned.experiment_id not in released]
+        thief = _Placement(victim.index, moved, excluded={victim.url})
+        self.open.append(thief)
+        self.place(thief, now, url)
+        recorded = self.recorded[victim.index]
+        if all(planned.experiment_id in recorded
+               for planned in victim.experiments):
+            # Nothing is left running there (a queued or parked shard
+            # released everything): retire the placement.
+            try:
+                client.cancel_shard(victim.remote_id)
+            except self.lost:
+                pass  # best effort: nothing more can start there
+            self.retire(victim)
+        return True
+
+    def lose(self, placement: _Placement, error: Exception | None) -> None:
+        """Fail over from a lost worker: a new placement of the shard,
+        inheriting the failure budget and exclusions, takes the place of
+        this one and is submitted by least load next tick.  ``error`` is
+        the connection failure that proved the loss, charged against
+        :meth:`max_attempts`; ``None`` is a lease-dead steal, which
+        charges nothing (the worker is never contacted — its sockets
+        hang)."""
+        successor = _Placement(placement.index, placement.experiments,
+                               failures=placement.failures,
+                               excluded=placement.excluded | {placement.url})
+        if error is not None:
+            self.unreachable.add(placement.url)
+            successor.failures += 1
+            if successor.failures >= self.max_attempts():
+                self.retire(placement, (
+                    f"remote worker unreachable after {successor.failures} "
+                    f"failure(s): {type(error).__name__}: {error}"))
+                return
+        self.open[self.open.index(placement)] = successor
+
+    def retire(self, placement: _Placement, error: str | None = None) -> None:
+        """Close a placement; ``error`` gives its shard up.  A shard
+        finishes with its last open placement."""
+        self.open.remove(placement)
+        index = placement.index
+        if error is not None:
+            self.failed[index] = f"shard {index} {error}"
+        if not any(other.index == index for other in self.open):
+            self.progress.finish(index, state="failed"
+                                 if index in self.failed else "completed")
+
+
 class RemoteBackend:
     """Per-shard remote workers behind the ``/v1`` service API.
 
-    Each non-empty shard's payload (:func:`build_shard_payload`) is
-    POSTed to the *least-loaded alive* worker — the fleet comes from the
-    worker registry (``context.registry``) when one is configured,
-    refreshed every :attr:`fleet_refresh_seconds`, with static
-    ``--worker`` URLs mirrored in as unmanaged pins; without a registry
-    the static URLs are the fleet, every one pinned alive.  The worker
-    runs the exact :func:`_run_shard_worker` engine into its own
-    workspace, longest-expected-first when the payload carries
-    ``expected_seconds``.  The parent polls shard status, incrementally
-    mirrors each worker's shard stream into the local
-    ``experiments-<shard>.jsonl`` (newline-aligned tail fetches, so the
-    local copy only ever holds complete records), and finally merges the
-    local shard streams into the canonical stream sorted by experiment
-    id (:func:`merge_and_backfill`) — so a campaign killed mid-run
-    resumes from everything mirrored so far, on any backend.
+    Each non-empty shard's payload (:func:`build_shard_payload`) goes to
+    the *least-loaded alive* worker — the fleet comes from the worker
+    registry (``context.registry``) when one is configured, refreshed
+    every :attr:`fleet_refresh_seconds`, with static ``--worker`` URLs
+    mirrored in as unmanaged pins; without a registry the static URLs
+    are the fleet, every one pinned alive.  Shards are placed in shard
+    index order, and each worker runs the exact
+    :func:`_run_shard_worker` engine into its own workspace,
+    longest-expected-first when the payload carries
+    ``expected_seconds``.  The local ``experiments-<shard>.jsonl``
+    mirrors only ever hold complete records, and the end merges them
+    into the canonical stream sorted by experiment id
+    (:func:`merge_and_backfill`) — so a campaign killed mid-run resumes
+    from everything mirrored so far, on any backend.
 
-    Work moves between live workers only by *release*: the dispatcher
-    asks a worker for experiments it has not started
-    (``POST /v1/shards/{id}/release``), and the worker's release gate
-    guarantees none of the returned ids ever starts there.  What comes
-    back is placed as another placement of the same shard, so nothing
-    runs twice:
+    A *placement* is part of one shard, submitted at most once, to one
+    worker.  Each poll tick moves every open placement through one of
+    these transitions:
 
-    * when a worker is idle (:func:`idle_worker`), the back half of the
-      busiest placement's unstarted tail (:func:`release_tail`) moves
-      to it;
-    * a *straggler* past :attr:`stall_seconds` with no visible progress
-      releases its whole unstarted remainder when another alive worker
-      has idle capacity — a queued or parked shard gives everything
-      back and is retired.
+    * **place** — submit the unmirrored remainder to the least-loaded
+      alive worker, or wait for one; past :attr:`placement_timeout`
+      without one, the shard is given up;
+    * **poll** — relay a cancel (``POST /v1/shards/{id}/cancel``), read
+      the status, and mirror the worker stream's newline-aligned tail;
+    * **stalled** — no visible progress for :attr:`stall_seconds` while
+      another alive worker has idle capacity (:func:`idle_capacity`):
+      release the whole unstarted remainder;
+    * **rebalance** — when a worker is idle (:func:`idle_worker`),
+      release the back half of the busiest placement's unstarted tail
+      (:func:`release_tail`) to it;
+    * **lose** — fail over from a worker proven lost.  A lost connection
+      (worker died, network gone, 500s), an ``unknown_shard`` answer (it
+      restarted) or a failed release request (its answer may have taken
+      experiments) charges one failure, and the shard is given up after
+      a try on every non-dead worker.  A registry lease gone ``dead`` is
+      a steal that charges nothing and never contacts the worker (a
+      SIGSTOPped host's sockets hang);
+    * **retire** — close a finished, given-up or fully released
+      placement.
 
-    Started work is resubmitted only for a worker proven lost: the
-    shard's unmirrored remainder goes to another worker (determinism
-    makes the re-run byte-identical, and last-record-wins merging
-    absorbs any overlap) when
-
-    * a *connection* is lost (worker died, network gone) or the worker
-      answers ``unknown_shard`` (it restarted);
-    * a registry lease goes ``dead`` — the shard moves *without
-      contacting the worker first*, since a SIGSTOPped host's sockets
-      hang until timeout;
-    * a release request fails: its answer may have taken experiments.
-
+    Work moves between live workers only by *release*
+    (``POST /v1/shards/{id}/release``): the worker's release gate
+    guarantees none of the returned ids ever starts there, and what
+    comes back becomes a new placement of the same shard, so nothing
+    runs twice.  Failover opens a new placement too, holding the lost
+    one's unmirrored experiments, failure count and exclusions: started
+    work reruns only for a lost worker (determinism makes the re-run
+    byte-identical, and last-record-wins merging absorbs any overlap).
     A worker-*reported* failure (the shard engine itself raised) is not
     retried elsewhere — the shard's unrecorded experiments become
     ``harness_error`` records, retried on resume.
-
-    Cancellation is relayed as ``POST /v1/shards/{id}/cancel``; workers
-    observe their cancel-flag file between experiments.
     """
 
     name = BACKEND_REMOTE
@@ -906,428 +1305,7 @@ class RemoteBackend:
     def execute(self, context: ExecutionContext,
                 pending: list[PlannedExperiment],
                 stream: ExperimentStream) -> ExecutionOutcome:
-        # Imported lazily: the client module imports the campaign layer,
-        # which imports this module at import time.
-        from repro.common.retry import RetryPolicy
-        from repro.service.api import APIError
-        from repro.service.client import ProFIPyClient
-
-        # A worker answering 500s (disk full, handler bug) is as lost as
-        # one refusing connections: the client surfaces those as
-        # APIError, which must fail the shard over, not kill the
-        # campaign.  (invalid_request → ValueError stays loud: that is a
-        # dispatcher bug, and retrying it elsewhere cannot succeed.)
-        worker_errors = _WORKER_CONNECTION_ERRORS + (APIError,)
-
-        static_workers = [url.rstrip("/")
-                          for url in (context.workers or []) if url]
-        registry = context.registry
-        shards = _partition(pending, context.shards)
-        if any(shards) and not static_workers and registry is None:
-            raise ValueError(
-                "remote backend requires worker URLs "
-                "(CampaignConfig.workers / --worker) or a registry "
-                "(CampaignConfig.registry_url / --registry)"
-            )
-        progress = ShardProgress(self.name, [len(s) for s in shards],
-                                 sink=context.on_progress)
-        progress.emit()
-        stream.path.parent.mkdir(parents=True, exist_ok=True)
-
-        # Status/tail polls are idempotent GETs: a couple of quick
-        # retries (bounded well under one poll tick's worth of damage)
-        # absorb connection blips without masking a dead worker.
-        poll_retry = RetryPolicy(attempts=2, base_delay=0.05,
-                                 max_delay=0.25,
-                                 deadline=self.request_timeout * 1.5,
-                                 attempt_timeout=self.request_timeout)
-        clients: dict[str, ProFIPyClient] = {}
-
-        def client_for(url: str) -> ProFIPyClient:
-            if url not in clients:
-                clients[url] = ProFIPyClient(url,
-                                             timeout=self.request_timeout,
-                                             retry_policy=poll_retry)
-            return clients[url]
-
-        # Static URLs are *pins*: always present, never lease-expired
-        # (nobody heartbeats for them).  Mirror them into the registry as
-        # unmanaged peers so `profipy workers list` shows the whole
-        # fleet; best-effort — placement works off the local view either
-        # way.
-        if registry is not None:
-            for url in static_workers:
-                try:
-                    registry.register_worker({"url": url,
-                                              "managed": False})
-                except Exception:  # noqa: BLE001 - visibility only
-                    pass
-
-        fleet: dict[str, dict] = {
-            url: {"url": url, "state": _ALIVE, "managed": False,
-                  "load": None, "max_concurrent": self.pin_capacity}
-            for url in static_workers
-        }
-        static_set = set(static_workers)
-        last_refresh: float | None = None
-
-        def refresh_fleet(now: float, force: bool = False) -> None:
-            nonlocal last_refresh
-            if registry is None:
-                return
-            if (not force and last_refresh is not None
-                    and now - last_refresh < self.fleet_refresh_seconds):
-                return
-            last_refresh = now
-            try:
-                views = registry.list_workers()
-            except Exception:  # noqa: BLE001 - keep the last view
-                # A registry blip must not strand the campaign: the
-                # previous fleet view stays in force until the next
-                # successful refresh.
-                return
-            seen = set()
-            for view in views:
-                url = str(view.get("url", "")).rstrip("/")
-                if not url:
-                    continue
-                seen.add(url)
-                fleet[url] = {
-                    "url": url,
-                    "state": view.get("state", _ALIVE),
-                    "managed": bool(view.get("managed", True)),
-                    "load": view.get("load"),
-                    "max_concurrent": view.get("max_concurrent"),
-                }
-            for url in list(fleet):
-                if url not in seen and url not in static_set:
-                    # Pruned from the registry entirely: dead.
-                    fleet[url]["state"] = _DEAD
-
-        executor = context.executor
-        placements = [
-            _RemoteShard(index=index, experiments=experiments)
-            for index, experiments in enumerate(shards) if experiments
-        ]
-        worker_parallelism = dict(zip(
-            [state.index for state in placements],
-            _shard_parallelism(context.parallelism, len(placements)),
-        ))
-        expected = executor.expected_for(pending)
-        #: Placements this dispatcher currently has on each worker URL —
-        #: folded into placement scores so N same-tick placements do not
-        #: all pile onto the worker whose heartbeat looked idlest.
-        assigned: dict[str, int] = {}
-        #: Experiment ids mirrored into each local shard stream.
-        recorded: dict[int, set[str]] = {state.index: set()
-                                         for state in placements}
-        #: Workers that lost a connection: never a release target again
-        #: (a dead static pin still looks alive and idle).
-        unreachable: set[str] = set()
-        cancelled = False
-        failed_shards: dict[int, str] = {}
-        unfinished = set(placements)
-
-        def open_placements() -> list[_RemoteShard]:
-            return [state for state in placements if state in unfinished]
-
-        def max_attempts() -> int:
-            """One initial try plus a failover to every other non-dead
-            worker — recomputed live, since the registry fleet grows and
-            shrinks mid-campaign."""
-            not_dead = sum(1 for view in fleet.values()
-                           if view["state"] != _DEAD)
-            return max(2, not_dead + 1)
-
-        def retire(state: _RemoteShard) -> None:
-            """Drop a finished placement; its shard finishes with its
-            last placement."""
-            unfinished.discard(state)
-            if not any(other.index == state.index for other in unfinished):
-                progress.finish(state.index,
-                                state="failed" if state.index
-                                in failed_shards else "completed")
-
-        def detach(state: _RemoteShard, exclude: bool = True) -> None:
-            """Unbind the shard from its worker, releasing the
-            placement slot (and excluding the worker from its retry)."""
-            if state.url is not None:
-                assigned[state.url] = max(
-                    0, assigned.get(state.url, 1) - 1
-                )
-                if exclude:
-                    state.excluded.add(state.url)
-            state.url = None
-            state.remote_id = None
-            state.offset = 0
-            state.cancel_relayed = False
-            state.last_remote_state = None
-
-        def lose_connection(state: _RemoteShard, error: Exception) -> None:
-            """Handle a dropped worker: fail over or give the shard up."""
-            if state.url is not None:
-                unreachable.add(state.url)
-            detach(state)
-            state.failures += 1
-            if state.failures >= max_attempts():
-                failed_shards[state.index] = (
-                    f"shard {state.index} remote worker unreachable after "
-                    f"{state.failures} failure(s): "
-                    f"{type(error).__name__}: {error}"
-                )
-                retire(state)
-
-        def place(state: _RemoteShard, now: float,
-                  url: str | None = None) -> bool:
-            """Dispatch the shard's unmirrored remainder to ``url`` or
-            else the least-loaded alive worker; returns whether it was
-            placed.  No alive worker → wait (give up past
-            placement_timeout)."""
-            refresh_fleet(now)
-            if url is None:
-                choice = least_loaded_worker(fleet, assigned,
-                                             state.excluded)
-                if choice is None:
-                    if state.wait_since is None:
-                        state.wait_since = now
-                    elif now - state.wait_since > self.placement_timeout:
-                        failed_shards[state.index] = (
-                            f"shard {state.index} unplaceable: no alive "
-                            f"worker for {self.placement_timeout:g}s"
-                        )
-                        retire(state)
-                    return False
-                url = choice["url"]
-            state.wait_since = None
-            state.attempts += 1
-            # Failover resubmits only what was never mirrored:
-            # everything already fetched is recorded locally.  The
-            # worker runs the rest in this order.
-            state.experiments = executor.dispatch_order(
-                planned for planned in state.experiments
-                if planned.experiment_id not in recorded[state.index])
-            payload = build_shard_payload(
-                executor, context.fault_model, state.index,
-                state.experiments, worker_parallelism[state.index],
-                image_manifest=context.image_manifest,
-            )
-            try:
-                if (context.image_manifest is not None
-                        and context.blob_store is not None):
-                    # Content-addressed shipping: ask the worker which
-                    # blobs it lacks and upload exactly those.  The
-                    # probe runs per placement (not once per worker):
-                    # a worker that restarted mid-campaign lost its
-                    # in-memory shards but usually not its blob cache,
-                    # and a cold one reports everything missing.
-                    # Dedup across shards and campaigns falls out — an
-                    # unchanged tree re-ships nothing but digests.
-                    sync = client_for(url)
-                    for digest in sync.missing_blobs(
-                            context.image_manifest.digests()):
-                        sync.put_blob(
-                            digest, context.blob_store.get_bytes(digest)
-                        )
-                view = client_for(url).submit_shard(payload)
-            except worker_errors as error:
-                state.excluded.add(url)
-                unreachable.add(url)
-                lose_connection(state, error)
-                return False
-            state.url = url
-            assigned[url] = assigned.get(url, 0) + 1
-            state.remote_id = view["shard_id"]
-            state.offset = 0
-            state.cancel_relayed = False
-            state.last_remote_state = view.get("state")
-            state.last_progress = now
-            state.drained = False
-            progress.start(state.index)
-            return True
-
-        def steal(state: _RemoteShard, now: float) -> None:
-            """Take the shard's unmirrored remainder away from a worker
-            whose lease died; the next tick re-places it by least load.
-            The worker is never contacted — its sockets hang."""
-            detach(state)
-            state.last_progress = now
-
-        def release(victim: _RemoteShard,
-                    requested: list[PlannedExperiment], now: float,
-                    url: str | None = None) -> bool:
-            """Take ``requested`` back from the victim's worker and
-            place what it released as a new placement of the same shard
-            (on ``url``, else by least load).  The worker guarantees
-            none of it ever starts there, so nothing runs twice.  A
-            failed request loses the worker: its answer may have taken
-            experiments.  Returns whether anything moved."""
-            try:
-                released = set(client_for(victim.url).release_shard(
-                    victim.remote_id,
-                    [planned.experiment_id for planned in requested]))
-            except (KeyError, *worker_errors) as error:
-                lose_connection(victim, error)
-                return True
-            if not released:
-                victim.drained = True
-                return False
-            moved = [planned for planned in victim.experiments
-                     if planned.experiment_id in released]
-            victim.experiments = [planned for planned in victim.experiments
-                                  if planned.experiment_id not in released]
-            thief = _RemoteShard(index=victim.index, experiments=moved,
-                                 excluded={victim.url})
-            placements.append(thief)
-            unfinished.add(thief)
-            place(thief, now, url)
-            if all(planned.experiment_id in recorded[victim.index]
-                   for planned in victim.experiments):
-                # Nothing is left running there (a queued or parked
-                # shard released everything): retire the placement.
-                try:
-                    client_for(victim.url).cancel_shard(victim.remote_id)
-                except (KeyError, *worker_errors):
-                    pass  # best effort: nothing more can start there
-                detach(victim, exclude=False)
-                retire(victim)
-            return True
-
-        def rebalance(now: float) -> bool:
-            """When a worker is idle, move the back half of the busiest
-            placement's unstarted tail to it (:func:`release_tail`).
-            Returns whether anything moved."""
-            if cancelled or idle_worker(fleet, assigned,
-                                        unreachable) is None:
-                return False
-            busiest = None
-            for state in open_placements():
-                if state.remote_id is None or state.drained:
-                    continue
-                tail = release_tail(
-                    state.experiments, recorded[state.index], expected,
-                    running=worker_parallelism[state.index] or 1)
-                seconds = sum(expected.get(planned.point.point_id, 1.0)
-                              for planned in tail)
-                if tail and (busiest is None or seconds > busiest[0]):
-                    busiest = (seconds, state, tail)
-            if busiest is None:
-                return False
-            _seconds, victim, tail = busiest
-            url = idle_worker(fleet, assigned,
-                              victim.excluded | unreachable)
-            return url is not None and release(victim, tail, now, url)
-
-        def sync_tail(state: _RemoteShard) -> bool:
-            """Mirror the worker stream's newline-aligned tail locally;
-            returns whether any bytes arrived."""
-            raw = client_for(state.url).shard_stream(state.remote_id,
-                                                     offset=state.offset)
-            if not raw:
-                return False
-            path = shard_stream_path(stream.path, state.index)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "ab") as handle:
-                handle.write(raw)
-            state.offset += len(raw)
-            recorded[state.index].update(
-                json.loads(line)["experiment_id"]
-                for line in raw.splitlines())
-            return True
-
-        poll = _AdaptivePoll(self.poll_min_seconds, self.poll_max_seconds,
-                             self.poll_backoff)
-        while unfinished:
-            now = time.monotonic()
-            refresh_fleet(now)
-            progressed = False
-            if (context.cancel is not None and context.cancel()
-                    and not cancelled):
-                cancelled = True
-            for state in open_placements():
-                if state not in unfinished:
-                    continue  # retired by a release earlier this tick
-                index = state.index
-                now = time.monotonic()
-                if state.remote_id is None:
-                    if cancelled:
-                        # Nothing dispatched and the campaign is
-                        # stopping: leave the shard for the resume.
-                        retire(state)
-                        continue
-                    progressed = place(state, now) or progressed
-                    continue
-                view = fleet.get(state.url)
-                if view is not None and view["state"] == _DEAD:
-                    # The lease already proved this worker missed its
-                    # heartbeats — steal without touching its sockets
-                    # (a SIGSTOPped host would stall us until timeout).
-                    steal(state, now)
-                    progressed = True
-                    continue
-                client = client_for(state.url)
-                if cancelled and not state.cancel_relayed:
-                    try:
-                        client.cancel_shard(state.remote_id)
-                        state.cancel_relayed = True
-                    except (KeyError, *worker_errors):
-                        pass  # retried next tick; the status poll below
-                        # handles a worker that is actually gone (or one
-                        # that restarted and answers unknown_shard)
-                try:
-                    status = client.shard_status(state.remote_id)
-                    if sync_tail(state):
-                        state.last_progress = now
-                        state.failures = 0
-                        progressed = True
-                except (KeyError, *worker_errors) as error:
-                    # KeyError: the worker restarted and forgot the
-                    # shard — its stream is gone with it.  Either way,
-                    # a lost worker: fail the shard over.
-                    lose_connection(state, error)
-                    progressed = True
-                    continue
-                if status["state"] != state.last_remote_state:
-                    state.last_remote_state = status["state"]
-                    state.last_progress = now
-                progress.set_done(index, len(recorded[index]))
-                if status["state"] == "failed":
-                    failed_shards[index] = (
-                        f"shard {index} remote worker failed: "
-                        f"{status.get('error') or 'unknown failure'}"
-                    )
-                    detach(state, exclude=False)
-                    retire(state)
-                    progressed = True
-                elif status["state"] in ("completed", "cancelled"):
-                    cancelled = cancelled or status["state"] == "cancelled"
-                    detach(state, exclude=False)
-                    retire(state)
-                    progressed = True
-                elif (not cancelled
-                      and now - state.last_progress > self.stall_seconds
-                      and idle_capacity(fleet, assigned,
-                                        state.excluded | {state.url})):
-                    # A straggler with idle capacity elsewhere: move
-                    # what it has not started rather than wait it out.
-                    state.last_progress = now
-                    progressed = release(
-                        state,
-                        [planned for planned in state.experiments
-                         if planned.experiment_id not in recorded[index]],
-                        now,
-                    ) or progressed
-            progressed = rebalance(time.monotonic()) or progressed
-            progress.emit()
-            if unfinished:
-                poll.record(progressed)
-                time.sleep(poll.interval)
-
-        merge_and_backfill(stream, shards, recorded, failed_shards)
-        cancelled = cancelled or (context.cancel is not None
-                                  and context.cancel())
-        progress.emit()
-        return ExecutionOutcome(cancelled=cancelled,
-                                shards=progress.snapshot()["shards"])
+        return _Dispatcher(self, context, pending, stream).run()
 
 
 # -- process backend ---------------------------------------------------------------

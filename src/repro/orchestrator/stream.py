@@ -54,6 +54,23 @@ def latest_entries(lines) -> dict[str, dict]:
     return entries
 
 
+def read_complete_lines(path: str | Path, offset: int = 0) -> bytes:
+    """The bytes of ``path`` from ``offset`` through its last newline.
+
+    A read racing an in-flight append never returns half a record, and
+    the next read starts at ``offset + len(result)``.  ``b""`` when the
+    file is missing or holds no complete line past ``offset``; any
+    other I/O error is raised.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            data = handle.read()
+    except FileNotFoundError:
+        return b""
+    return data[:data.rfind(b"\n") + 1]
+
+
 class ExperimentStream:
     """Append-only JSONL stream of experiment results (thread-safe).
 
@@ -190,4 +207,5 @@ class ExperimentStream:
         return len(self._latest_entries())
 
 
-__all__ = ["ExperimentStream", "latest_entries", "parse_stream_lines"]
+__all__ = ["ExperimentStream", "latest_entries", "parse_stream_lines",
+           "read_complete_lines"]

@@ -41,6 +41,7 @@ from repro.dsl.errors import DslError
 from repro.faultmodel.library import predefined_models
 from repro.faultmodel.model import FaultModel
 from repro.orchestrator.campaign import CampaignConfig
+from repro.orchestrator.stream import read_complete_lines
 from repro.service.jobs import Job
 from repro.service.registry import LeaseExpiredError
 from repro.service.tenants import (
@@ -548,20 +549,12 @@ def _regression_tests(service, job_id, tenant):
 
 
 def _shard_tail(service, shard_id, offset=0) -> bytes:
-    """The shard stream from byte ``offset``, cut after its last newline:
-    a read racing an in-flight append never ships half a record, and
-    the next poll starts at ``offset + len(tail)``."""
+    """The shard stream's complete records from byte ``offset``
+    (:func:`read_complete_lines`): never half a record, and the next
+    poll starts at ``offset + len(tail)``."""
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    path = service.shard_stream_path(shard_id)
-    try:
-        size = path.stat().st_size
-    except OSError:
-        return b""  # nothing recorded yet: an empty tail
-    with open(path, "rb") as handle:
-        handle.seek(min(offset, size))
-        data = handle.read(max(size - offset, 0))
-    return data[:data.rfind(b"\n") + 1]
+    return read_complete_lines(service.shard_stream_path(shard_id), offset)
 
 
 def _read_blob(service, digest) -> bytes:

@@ -178,28 +178,22 @@ class StoppingMonitor:
 
     def _ingest_file(self, path: Path) -> int:
         from repro.orchestrator.experiment import ExperimentResult
-        from repro.orchestrator.stream import parse_stream_lines
+        from repro.orchestrator.stream import (
+            parse_stream_lines,
+            read_complete_lines,
+        )
 
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return 0
-        offset = self._offsets.get(path, 0)
-        if size <= offset:
-            return 0
-        try:
-            with path.open("rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read(size - offset)
-        except OSError:
-            return 0
         # Only consume complete lines; a partially-flushed record stays
         # buffered in the file until the trailing newline lands.
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
+        offset = self._offsets.get(path, 0)
+        try:
+            chunk = read_complete_lines(path, offset)
+        except OSError:
+            return 0  # unreadable for now: retried on the next poll
+        if not chunk:
             return 0
-        self._offsets[path] = offset + cut + 1
-        text = chunk[:cut + 1].decode("utf-8", errors="replace")
+        self._offsets[path] = offset + len(chunk)
+        text = chunk.decode("utf-8", errors="replace")
         observed = 0
         for entry in parse_stream_lines(text.splitlines()):
             if "meta" in entry:

@@ -196,3 +196,17 @@ class TestRemoteShipping:
                              tmp_path / "ws-2", remote_worker)
         assert second.executed == 2
         assert uploads == []
+
+    def test_blob_missing_from_the_coordinator_store_is_loud(
+            self, toy_project, toy_model, toy_workload, tmp_path,
+            remote_worker, monkeypatch):
+        # A manifest digest the coordinator's own store lacks is not a
+        # lost worker: failing over cannot help, so the campaign raises
+        # instead of charging each worker a failure.
+        absent = blob_digest(b"never stored on the coordinator")
+        digests = ImageManifest.digests
+        monkeypatch.setattr(ImageManifest, "digests",
+                            lambda self: sorted(digests(self) + [absent]))
+        with pytest.raises(KeyError, match=f"unknown blob {absent}"):
+            _run_remote(toy_project, toy_model, toy_workload,
+                        tmp_path / "ws", remote_worker)

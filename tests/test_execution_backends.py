@@ -454,6 +454,65 @@ class TestBackendDeterminism:
         assert done_counts == sorted(done_counts)  # monotone feed
 
 
+@pytest.mark.integration
+class TestRemoteGiveUp:
+    """The dispatcher's two give-up transitions: a shard whose every
+    worker is unreachable, and a shard no alive worker ever appears
+    for.  Either way each experiment gets a ``harness_error`` record
+    naming the cause (retried on resume); the campaign itself
+    completes."""
+
+    EXPERIMENTS = 3
+
+    @pytest.fixture
+    def project(self, tmp_path):
+        from chaos import build_chaos_project
+
+        return build_chaos_project(tmp_path / "target",
+                                   functions=self.EXPERIMENTS)
+
+    def run_given_up(self, project, workspace, **endpoints):
+        from chaos import make_chaos_config
+        from conftest import TOY_SPEC
+
+        result = Campaign(make_chaos_config(
+            project, TOY_SPEC, workspace, "remote", 2, **endpoints)).run()
+        assert len(result.experiments) == self.EXPERIMENTS
+        assert {e.status for e in result.experiments} == {"harness_error"}
+        return [e.error for e in result.experiments]
+
+    def test_unreachable_worker_gives_the_shards_up(self, project,
+                                                     tmp_path):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The port is closed again: every submission is refused.
+        errors = self.run_given_up(project, tmp_path / "ws",
+                                   workers=[f"http://127.0.0.1:{port}"])
+        assert all("remote worker unreachable after 2 failure(s)" in error
+                   for error in errors), errors
+
+    def test_empty_registry_gives_the_shards_up(self, project, tmp_path,
+                                                monkeypatch):
+        from repro.orchestrator.backends import RemoteBackend
+        from repro.service.http import start_server
+        from repro.service.service import ProFIPyService
+
+        monkeypatch.setattr(RemoteBackend, "placement_timeout", 0.5)
+        coordinator = ProFIPyService(tmp_path / "coordinator")
+        server, _thread = start_server(coordinator)
+        try:
+            errors = self.run_given_up(project, tmp_path / "ws",
+                                       registry_url=server.url)
+        finally:
+            server.shutdown()
+            coordinator.close()
+        assert all("unplaceable: no alive worker for 0.5s" in error
+                   for error in errors), errors
+
+
 class TestGenerationErrors:
     @pytest.mark.integration
     def test_undecodable_file_is_a_harness_error_on_every_backend(

@@ -7,7 +7,7 @@ import pytest
 
 from repro.orchestrator.campaign import Campaign, CampaignConfig
 from repro.orchestrator.experiment import ExperimentResult
-from repro.orchestrator.stream import ExperimentStream
+from repro.orchestrator.stream import ExperimentStream, read_complete_lines
 from repro.service import COMPLETED, ProFIPyService
 
 
@@ -88,6 +88,21 @@ class TestExperimentStream:
         assert stream.read_meta() == {"seed": 7}
         assert stream.recorded_ids() == {"e1"}
         assert len(stream) == 1
+
+
+@pytest.mark.parametrize("content, offset, expected", [
+    (b'{"a": 1}\n{"b": 2}\n{"c"', 0, b'{"a": 1}\n{"b": 2}\n'),
+    (b'{"a": 1}\n{"b": 2}\n{"c"', 9, b'{"b": 2}\n'),
+    (b'{"a": 1}\n{"b"', 9, b""),
+    (b'{"a": 1}\n', 100, b""),
+    (None, 0, b""),
+], ids=["partial-trailing-line", "from-offset", "nothing-complete",
+        "offset-past-end", "missing-file"])
+def test_read_complete_lines(tmp_path, content, offset, expected):
+    path = tmp_path / "experiments.jsonl"
+    if content is not None:
+        path.write_bytes(content)
+    assert read_complete_lines(path, offset) == expected
 
 
 @pytest.mark.integration
