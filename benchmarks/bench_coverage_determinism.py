@@ -6,6 +6,13 @@ image and workload.  For each bundled §V campaign this bench builds the
 image and plan once, then runs the pre-run ``RERUNS`` times with no
 cache, and asserts a single distinct covered set.  It reports the
 covered count and the per-rerun pre-run time range.
+
+A cold campaign dispatches slowest first from the pre-run's reach
+times, so their order must repeat too, wherever it is wide enough to
+matter: any two points whose reach offsets differ by at least
+``ORDER_GAP`` seconds in one rerun must be reached in that order in
+every rerun.  The bench also reports the largest spread (max − min over
+the reruns) of any one point's reach offset.
 """
 
 import time
@@ -21,13 +28,16 @@ from repro.sandbox.image import SandboxImage
 
 RERUNS = 10
 
+#: Reach offsets this far apart in one rerun must keep their order.
+ORDER_GAP = 0.5
+
 
 def _reruns(tmp_path, campaign_name):
     config = case_study_config(campaign_name, tmp_path, command_timeout=30)
     campaign = Campaign(config)
     image = SandboxImage.build(config.target_dir, tmp_path / "image")
     points = campaign.scan().points
-    covered_sets, seconds = set(), []
+    covered_sets, seconds, reached = set(), [], []
     for _ in range(RERUNS):
         started = time.monotonic()
         report = run_coverage(image, config.workload, points,
@@ -35,19 +45,47 @@ def _reruns(tmp_path, campaign_name):
         seconds.append(time.monotonic() - started)
         assert not report.error and not report.workload_failed
         covered_sets.add(frozenset(report.covered))
-    return len(points), covered_sets, seconds
+        reached.append(report.reached)
+    return len(points), covered_sets, seconds, reached
+
+
+def _order_flips(reached):
+    """``(first, second, rerun)`` for every pair of points that one rerun
+    reaches at least ``ORDER_GAP`` apart and ``rerun`` reaches in the
+    other order (or not at all)."""
+    flips = []
+    for offsets in reached:
+        for first, early in offsets.items():
+            for second, late in offsets.items():
+                if late - early < ORDER_GAP:
+                    continue
+                flips.extend(
+                    (first, second, index)
+                    for index, other in enumerate(reached)
+                    if not other.get(first, float("inf"))
+                    < other.get(second, float("-inf")))
+    return flips
 
 
 @pytest.mark.parametrize("campaign_name", ALL_CAMPAIGNS)
 def test_covered_set_repeats(benchmark, tmp_path, campaign_name):
-    total, covered_sets, seconds = benchmark.pedantic(
+    total, covered_sets, seconds, reached = benchmark.pedantic(
         lambda: _reruns(tmp_path, campaign_name), rounds=1, iterations=1)
     assert len(covered_sets) == 1, covered_sets
     [covered] = covered_sets
+    assert _order_flips(reached) == []
+    apart = sum(1 for offsets in reached[:1]
+                for early in offsets.values() for late in offsets.values()
+                if late - early >= ORDER_GAP)
+    spread = max((max(offsets[point] for offsets in reached)
+                  - min(offsets[point] for offsets in reached)
+                  for point in covered), default=0.0)
     write_result(
         f"coverage_determinism_{campaign_name}",
         f"Coverage determinism ({campaign_name}, {RERUNS} uncached "
         f"reruns): {len(covered_sets)} distinct covered set, "
         f"{len(covered)}/{total} covered, pre-run "
-        f"{min(seconds):.2f}-{max(seconds):.2f} s per rerun",
+        f"{min(seconds):.2f}-{max(seconds):.2f} s per rerun, largest "
+        f"reach-offset spread {spread:.3f} s, {apart} point pairs "
+        f">= {ORDER_GAP} s apart in the first rerun kept their order",
     )

@@ -1,16 +1,18 @@
-"""EX-dispatch — longest-expected-first dispatch on a re-campaign.
+"""EX-dispatch — longest-expected-first dispatch.
 
 A campaign whose slow experiments sit late in ``(file, spec)`` order
 leaves worker slots idle at its end.  After a campaign on a persistent
 scan cache, each point's duration is recorded there; a re-campaign on
-the same cache dispatches its groups slowest first.
+the same cache dispatches its groups slowest first.  A first campaign
+with coverage on estimates each experiment from when the fault-free
+pre-run first reached its point, and dispatches slowest first too.
 
 Each target has one injection point per module.  The workload checks the
 modules in order and sleeps a fixed time before each check, so a fault
 in module *i* fails the run after the sleeps before checks 0..*i*: an
-experiment's duration is set by its module.  Each case runs the campaign
-twice on one cache and asserts that the re-campaign executes faster
-while recording the same experiments.
+experiment's duration is set by its module.  The first two cases run
+the campaign twice on one cache and assert that the re-campaign
+executes faster while recording the same experiments.
 
 * **Thread backend**: ``MODULES`` modules, ``SLEEP`` seconds before
   every check but the first, parallelism 2.  Plan order starts the
@@ -24,6 +26,11 @@ while recording the same experiments.
   shards never move work, shard 0's slot for 5 units) waits on it.  The
   re-campaign starts it first and shard 0's worker takes the fast tail
   by release, about 7 units in all.
+* **Cold, thread backend**: the thread case's target and plan, run
+  once with coverage off (plan order) and once with coverage on, each
+  on a fresh cache.  The pre-run reaches module *i* after *i* sleeps,
+  so the covered campaign starts the slowest experiment first with
+  nothing recorded.
 
 Run: ``cd benchmarks && PYTHONPATH=../src python -m pytest
 bench_dispatch_order.py -q -s``.
@@ -101,27 +108,34 @@ def projection(path):
             for line in lines]
 
 
+def run_campaign(tmp_path, project, label, cache="cache", **overrides):
+    """One campaign over ``project`` with its progress lines."""
+    model = FaultModel(name="bench")
+    model.add(parse_spec(SPEC, name="WRR"), description="wrong return")
+    settings = dict(
+        name="dispatch",
+        target_dir=project,
+        fault_model=model,
+        workload=WorkloadSpec(commands=["{python} run.py"],
+                              command_timeout=30.0),
+        coverage=False,
+        rounds=1,
+        parallelism=PARALLEL,
+        scan_cache_dir=tmp_path / cache,
+        workspace=tmp_path / label,
+    )
+    settings.update(overrides)
+    lines = []
+    result = Campaign(CampaignConfig(**settings)).run(progress=lines.append)
+    return result, lines
+
+
 def campaign_pair(tmp_path, sleeps, **overrides):
     """The first campaign and its re-campaign on one scan cache."""
     project = make_project(tmp_path / "target", sleeps)
-    model = FaultModel(name="bench")
-    model.add(parse_spec(SPEC, name="WRR"), description="wrong return")
 
     def campaign(label):
-        lines = []
-        result = Campaign(CampaignConfig(
-            name="dispatch",
-            target_dir=project,
-            fault_model=model,
-            workload=WorkloadSpec(commands=["{python} run.py"],
-                                  command_timeout=30.0),
-            coverage=False,
-            rounds=1,
-            parallelism=PARALLEL,
-            scan_cache_dir=tmp_path / "cache",
-            workspace=tmp_path / label,
-            **overrides,
-        )).run(progress=lines.append)
+        result, lines = run_campaign(tmp_path, project, label, **overrides)
         assert result.executed == len(sleeps)
         return result, lines
 
@@ -168,4 +182,35 @@ def test_process_recampaign_dispatches_longest_first(tmp_path):
         f"{first.execution_seconds:.2f} s\n"
         f"  longest-expected-first + release steals (re-campaign): "
         f"{rerun.execution_seconds:.2f} s",
+    )
+
+
+def test_cold_campaign_dispatches_from_reach_times(tmp_path):
+    sleeps = [0] + [SLEEP] * (MODULES - 1)
+    project = make_project(tmp_path / "target", sleeps)
+    plain, plain_lines = run_campaign(tmp_path, project, "plain",
+                                      cache="plain-cache")
+    covered, covered_lines = run_campaign(tmp_path, project, "covered",
+                                          cache="covered-cache",
+                                          coverage=True)
+    assert plain.executed == covered.executed == MODULES
+    assert not any("dispatch longest-first" in line
+                   for line in plain_lines)
+    assert (f"[dispatch] dispatch longest-first from {MODULES} coverage "
+            "reach times") in covered_lines
+    assert projection(covered.experiments_path) == \
+        projection(plain.experiments_path)
+    assert covered.execution_seconds < plain.execution_seconds, (
+        f"reach-ordered {covered.execution_seconds:.2f} s vs plan order "
+        f"{plain.execution_seconds:.2f} s"
+    )
+    write_result(
+        "dispatch_order_cold",
+        f"Dispatch order, cold campaign ({MODULES} experiments of "
+        f"0-{MODULES - 1} x {SLEEP} s sleeps, parallelism {PARALLEL}, "
+        f"fresh caches):\n"
+        f"  plan order (coverage off): {plain.execution_seconds:.2f} s\n"
+        f"  longest-first from coverage reach times: "
+        f"{covered.execution_seconds:.2f} s "
+        f"(pre-run {covered.coverage_seconds:.2f} s)",
     )

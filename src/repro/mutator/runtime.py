@@ -86,17 +86,22 @@ def enabled(fault_id):
 
 
 def cover(point_id):
-    """Record that execution reached an injection point (coverage pre-run)."""
+    """Record that execution reached an injection point (coverage pre-run).
+
+    Appends ``point_id<TAB>time.time()`` once per point per process; the
+    pre-run keeps each point's earliest time as its reach time.
+    """
     path = os.environ.get(COVERAGE_ENV)
     if not path:
         return
+    reached = time.time()
     with _lock:
         if point_id in _cover_seen:
             return
         _cover_seen.add(point_id)
         try:
             with open(path, "a") as handle:
-                handle.write(point_id + "\\n")
+                handle.write("%s\\t%r\\n" % (point_id, reached))
         except OSError:
             pass
 

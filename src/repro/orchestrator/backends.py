@@ -531,7 +531,7 @@ def build_shard_payload(executor: ExperimentExecutor,
     ``image`` key carries host-local staging paths — the same-host form
     the process backend's loopback workers read directly.
 
-    With recorded durations, ``expected_seconds`` maps each member's
+    With dispatch estimates, ``expected_seconds`` maps each member's
     point id to its expected seconds, so the worker dispatches the
     shard longest-first in the order the dispatcher computes.
     """

@@ -430,6 +430,11 @@ class Campaign:
                 if report.reused:
                     say(f"[{config.name}] coverage reused "
                         f"(key {report.key[:12]})")
+                if report.workload_failed:
+                    # The plan is still reduced, but by what a failing
+                    # run reached: say so.
+                    say(f"[{config.name}] coverage pre-run: fault-free "
+                        "workload failed; covered set not stored")
                 plan = reduce_plan(plan, report)
             result.population = len(plan)
             sampling = config.sampling
@@ -544,17 +549,26 @@ class Campaign:
 
             # Longest-expected-first dispatch keeps the slowest
             # experiments from starting last; shard payloads carry their
-            # members' expected seconds.  A stopping rule reads the
-            # stream as it grows, so its order stays the plan's.
-            if dispatch_key is not None and monitor is None:
-                recorded_durations = self.scan_cache.lookup_durations(
-                    dispatch_key)
+            # members' expected seconds.  Recorded durations win; with
+            # none, the coverage pre-run's reach times give the
+            # estimate.  A stopping rule reads the stream as it grows,
+            # so its order stays the plan's.
+            if monitor is None:
+                recorded_durations = (
+                    self.scan_cache.lookup_durations(dispatch_key)
+                    if dispatch_key is not None else None)
                 if recorded_durations is not None:
                     executor.expected_seconds = (
                         recorded_durations["durations"])
                     say(f"[{config.name}] dispatch longest-first from "
                         f"{len(executor.expected_seconds)} recorded "
                         f"durations (key {dispatch_key[:12]})")
+                elif result.coverage is not None and result.coverage.reached:
+                    executor.expected_seconds = (
+                        result.coverage.expected_seconds(config.rounds))
+                    say(f"[{config.name}] dispatch longest-first from "
+                        f"{len(executor.expected_seconds)} coverage reach "
+                        "times")
 
             say(f"[{config.name}] executing {len(pending)} experiments "
                 f"({config.backend} backend, {config.shards} shard(s), "

@@ -6,8 +6,16 @@ probe and no fault.  Points whose probe never fires are dropped from the
 plan — "injecting into non-covered paths causes a waste of time since the
 fault would not cause any effect".
 
-The pre-run is content-addressed: its covered set is stored in the
-campaign's :class:`~repro.scanner.cache.ScanCache` under
+Each probe also records when it first fired, so the report carries
+every covered point's *reach time*: seconds from just before the
+services start to the first hit.  A fault cannot end round 1 before its
+point is reached, so the reach time plus the fault-free rounds after it
+(:meth:`CoverageReport.expected_seconds`) estimates how long the point's
+experiment takes; a campaign with no recorded durations dispatches
+longest-first from that estimate.
+
+The pre-run is content-addressed: its covered set and reach times are
+stored in the campaign's :class:`~repro.scanner.cache.ScanCache` under
 :func:`coverage_key`, a digest of the exact program and driver it
 executes, so a re-campaign over an unchanged image starts no sandbox.
 The same digest routine keys the per-point experiment durations that
@@ -20,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +54,11 @@ class CoverageReport:
     total: int = 0
     workload_failed: bool = False
     error: str = ""
+    #: Seconds from just before the services started to each covered
+    #: point's first probe hit (earliest over processes), and to the end
+    #: of the workload round.  Timing, so never part of equality.
+    reached: dict[str, float] = field(default_factory=dict, compare=False)
+    seconds: float = field(default=0.0, compare=False)
     #: In-process only (never serialized): whether the covered set was
     #: served from the scan cache, and the key it is stored under.
     reused: bool = field(default=False, compare=False)
@@ -57,6 +71,13 @@ class CoverageReport:
     @property
     def ratio(self) -> float:
         return self.covered_count / self.total if self.total else 0.0
+
+    def expected_seconds(self, rounds: int) -> dict[str, float]:
+        """Estimated experiment seconds per reached point: round 1 runs
+        at least until the point is reached, and every later round runs
+        fault-free."""
+        return {point_id: offset + (rounds - 1) * self.seconds
+                for point_id, offset in self.reached.items()}
 
 
 def _run_key(image: SandboxImage, workload: WorkloadSpec,
@@ -116,9 +137,9 @@ def run_coverage(
 ) -> CoverageReport:
     """Instrument every point, run the workload once, read the probes.
 
-    With a ``cache``, a covered set stored under the same
-    :func:`coverage_key` is returned without starting a sandbox; a fresh
-    run is stored only when the workload started and passed.
+    With a ``cache``, a covered set and reach times stored under the
+    same :func:`coverage_key` are returned without starting a sandbox; a
+    fresh run is stored only when the workload started and passed.
     """
     report = CoverageReport(total=len(points))
     if not points:
@@ -146,6 +167,10 @@ def run_coverage(
         entry = cache.lookup_coverage(report.key)
         if entry is not None:
             report.covered = set(entry["covered"]) & known
+            report.reached = {point_id: offset for point_id, offset
+                              in entry["reached"].items()
+                              if point_id in report.covered}
+            report.seconds = entry["seconds"]
             report.reused = True
             return report
 
@@ -154,22 +179,33 @@ def run_coverage(
         sandbox.env[COVERAGE_ENV] = str(coverage_path)
         for rel_file, source in instrumented.items():
             sandbox.write_file(rel_file, source)
+        origin = time.time()
         try:
             start_services(sandbox, workload)
         except ServiceStartError as error:
             report.error = str(error)
             return report
         round_result = run_round(sandbox, workload, 1, fault_enabled=False)
+        report.seconds = time.time() - origin
         report.workload_failed = round_result.failed
         try:
             content = coverage_path.read_text(encoding="utf-8")
         except OSError:
             content = ""
-    report.covered = {
-        line.strip() for line in content.splitlines() if line.strip()
-    } & known
+    for line in content.splitlines():
+        point_id, _, stamp = line.strip().partition("\t")
+        if point_id not in known:
+            continue
+        report.covered.add(point_id)
+        try:
+            offset = max(0.0, float(stamp) - origin)
+        except ValueError:
+            continue  # an untimed probe line still covers its point
+        report.reached[point_id] = min(
+            offset, report.reached.get(point_id, offset))
     if cache is not None and not report.workload_failed:
-        cache.store_coverage(report.key, report.covered)
+        cache.store_coverage(report.key, report.covered, report.reached,
+                             report.seconds)
     return report
 
 

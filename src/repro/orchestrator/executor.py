@@ -26,8 +26,11 @@ generated (unreadable or undecodable file, unknown spec, stale ordinal)
 is yielded as the exception itself, and :meth:`ExperimentExecutor.run`
 records it as that one experiment's ``harness_error``.  Groups are
 dispatched longest-expected-first when
-:attr:`ExperimentExecutor.expected_seconds` holds recorded durations, so
-the slowest experiments do not start last; order never changes results.
+:attr:`ExperimentExecutor.expected_seconds` holds estimates, so the
+slowest experiments do not start last: recorded durations on a
+re-campaign, or, on a first campaign, the coverage pre-run's reach
+times (``CoverageReport.expected_seconds``).  Order never changes
+results.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class ExperimentExecutor:
     #: starts; once it returns true, :meth:`run` declines new experiments
     #: (returning ``None``) so a cancelled campaign drains quickly.
     cancel_check: Callable[[], bool] | None = None
-    #: Recorded seconds per injection point id, from which
+    #: Expected seconds per injection point id (recorded durations, or
+    #: estimates from coverage reach times), from which
     #: :meth:`iter_mutations` dispatches longest-expected-first.  Empty
     #: means plan order.  Shard payloads carry their members' entries
     #: (:meth:`expected_for`), so a shard worker orders its part alike.
@@ -101,8 +105,8 @@ class ExperimentExecutor:
         The base order is ``(file, spec, ordinal)``.  With
         :attr:`expected_seconds`, ``(file, spec)`` groups come longest
         expected member first, and members longest first within their
-        group; a point with no recorded duration is expected to take the
-        median of the recorded ones, and ties keep the base order.
+        group; a point with no estimate is expected to take the median
+        of the estimates, and ties keep the base order.
         Groups stay contiguous, so each still gets one ``MatchMemo``.
         """
         # sorted() is stable, so ties keep their plan order.
@@ -125,9 +129,9 @@ class ExperimentExecutor:
     def expected_for(
         self, planned: Iterable[PlannedExperiment],
     ) -> dict[str, float]:
-        """Expected seconds per point id of ``planned``: the recorded
-        duration, or the median of the recorded ones for a point with
-        none.  Empty when nothing is recorded."""
+        """Expected seconds per point id of ``planned``: its estimate in
+        :attr:`expected_seconds`, or the median of the estimates for a
+        point with none.  Empty when there are no estimates."""
         if not self.expected_seconds:
             return {}
         fallback = statistics.median(self.expected_seconds.values())

@@ -22,8 +22,9 @@ Two memoizers live here:
   so identical file contents share one entry regardless of path.  The
   in-memory map is LRU-bounded (``max_memory_entries``) so long-lived
   service workers stay bounded too.  The same directory holds
-  **coverage entries** (``coverage-<key>.json``): the covered set of a
-  fault-free pre-run, keyed by the exact program and driver it executed
+  **coverage entries** (``coverage-<key>.json``): the covered set and
+  per-point reach times of a fault-free pre-run, keyed by the exact
+  program and driver it executed
   (``orchestrator/coverage.py::coverage_key``), and **durations
   entries** (``durations-<key>.json``): the seconds each injection point's
   experiment took, keyed by the pristine image and the run parameters
@@ -95,8 +96,9 @@ CACHE_FORMAT_VERSION = 1
 #: per-file entry version it nests).
 TREE_FORMAT_VERSION = 1
 
-#: Bump when the coverage entry schema changes.
-COVERAGE_FORMAT_VERSION = 1
+#: Bump when the coverage entry schema changes.  Version 2 added each
+#: covered point's reach time and the length of the pre-run.
+COVERAGE_FORMAT_VERSION = 2
 
 #: Bump when the durations entry schema changes.
 DURATIONS_FORMAT_VERSION = 1
@@ -135,15 +137,29 @@ def _valid_tree_entry(entry) -> bool:
     )
 
 
+def _valid_seconds(seconds) -> bool:
+    return (isinstance(seconds, (int, float))
+            and not isinstance(seconds, bool) and 0 <= seconds < math.inf)
+
+
+def _valid_seconds_map(entry) -> bool:
+    """A ``{point id: seconds}`` map."""
+    return isinstance(entry, dict) and all(
+        isinstance(point_id, str) and _valid_seconds(seconds)
+        for point_id, seconds in entry.items()
+    )
+
+
 def _valid_coverage_entry(entry) -> bool:
     if not isinstance(entry, dict):
         return False
     if entry.get("version") != COVERAGE_FORMAT_VERSION:
         return False
     covered = entry.get("covered")
-    return isinstance(covered, list) and all(
-        isinstance(point_id, str) for point_id in covered
-    )
+    return (isinstance(covered, list)
+            and all(isinstance(point_id, str) for point_id in covered)
+            and _valid_seconds_map(entry.get("reached"))
+            and _valid_seconds(entry.get("seconds")))
 
 
 def _valid_durations_entry(entry) -> bool:
@@ -151,12 +167,7 @@ def _valid_durations_entry(entry) -> bool:
         return False
     if entry.get("version") != DURATIONS_FORMAT_VERSION:
         return False
-    durations = entry.get("durations")
-    return isinstance(durations, dict) and all(
-        isinstance(point_id, str) and isinstance(seconds, (int, float))
-        and not isinstance(seconds, bool) and 0 <= seconds < math.inf
-        for point_id, seconds in durations.items()
-    )
+    return _valid_seconds_map(entry.get("durations"))
 
 
 def _valid_stat_manifest(entry) -> bool:
@@ -367,15 +378,20 @@ class ScanCache:
         return self._count(entry, f"{kind}_hits", f"{kind}_misses")
 
     def lookup_coverage(self, key: str) -> dict | None:
-        """Covered set ``{"covered": [point ids]}`` stored under a
-        coverage pre-run key, or None."""
+        """``{"covered": [point ids], "reached": {point id: seconds},
+        "seconds": pre-run seconds}`` stored under a coverage pre-run
+        key, or None."""
         return self._lookup_keyed("coverage", key, _valid_coverage_entry)
 
-    def store_coverage(self, key: str, covered: "set[str]") -> None:
+    def store_coverage(self, key: str, covered: "set[str]",
+                       reached: "dict[str, float]",
+                       seconds: float) -> None:
         if self.cache_dir is not None:
             self._persist(self._keyed_path("coverage", key), {
                 "version": COVERAGE_FORMAT_VERSION,
                 "covered": sorted(covered),
+                "reached": dict(sorted(reached.items())),
+                "seconds": seconds,
             })
 
     # -- durations entries ------------------------------------------------------

@@ -14,6 +14,7 @@ from chaos import stream_projection
 
 from repro.dsl.parser import parse_spec
 from repro.faultmodel.model import FaultModel
+from repro.mutator.runtime import COVERAGE_ENV
 from repro.orchestrator.campaign import Campaign, CampaignConfig
 from repro.sandbox.sandbox import Sandbox
 from repro.scanner.cache import COVERAGE_FORMAT_VERSION, ScanCache
@@ -102,6 +103,37 @@ class TestReuse:
         assert second.executed == fresh.executed == 1
         assert stream_projection(second.experiments_path) == \
             stream_projection(fresh.experiments_path)
+
+    def test_reach_times_survive_reuse(
+            self, toy_project, toy_model, toy_workload, tmp_path):
+        _, first = run(make_config(toy_project, toy_model, toy_workload,
+                                   tmp_path, "first"))
+        assert set(first.coverage.reached) == {"WRR:app.py:0"}
+        assert 0 <= first.coverage.reached["WRR:app.py:0"] \
+            <= first.coverage.seconds
+        _, second = run(make_config(toy_project, toy_model, toy_workload,
+                                    tmp_path, "second"))
+        assert second.coverage.reused
+        assert second.coverage.reached == first.coverage.reached
+        assert second.coverage.seconds == first.coverage.seconds
+
+    def test_untimed_probe_line_still_covers_its_point(
+            self, toy_project, toy_model, tmp_path):
+        # A probe line with no time (the pre-v2 runtime's format) for
+        # the point in ``unused_helper``, which the workload never calls.
+        (toy_project / "untimed.py").write_text(
+            "import os\n"
+            f"with open(os.environ[{COVERAGE_ENV!r}], 'a') as handle:\n"
+            "    handle.write('WRR:app.py:1\\n')\n")
+        workload = WorkloadSpec(
+            commands=["{python} run.py", "{python} untimed.py"],
+            command_timeout=30.0,
+        )
+        _, result = run(make_config(toy_project, toy_model, workload,
+                                    tmp_path, "first"))
+        assert result.coverage.covered == {"WRR:app.py:0", "WRR:app.py:1"}
+        assert set(result.coverage.reached) == {"WRR:app.py:0"}
+        assert result.executed == 2
 
     def test_progress_names_the_reused_key(
             self, toy_project, toy_model, toy_workload, tmp_path):
@@ -230,10 +262,14 @@ class TestNeverStored:
             command_timeout=30.0,
         )
         for label in ("first", "second"):
-            _, result = run(make_config(toy_project, toy_model, workload,
-                                        tmp_path, label, rounds=1))
+            lines = []
+            result = Campaign(make_config(
+                toy_project, toy_model, workload, tmp_path, label,
+                rounds=1)).run(progress=lines.append)
             assert result.coverage.workload_failed
             assert not result.coverage.reused
+            assert ("[reuse] coverage pre-run: fault-free workload "
+                    "failed; covered set not stored") in lines
         assert len(coverage_runs) == 2
         assert coverage_entries(tmp_path / "cache") == []
 
@@ -274,7 +310,14 @@ class TestEntries:
         json.dumps({"version": COVERAGE_FORMAT_VERSION,
                     "covered": "WRR:app.py:1"}),
         json.dumps(["WRR:app.py:1"]),
-    ], ids=["corrupt", "old-version", "bad-covered", "not-an-object"])
+        json.dumps({"version": 1, "covered": ["WRR:app.py:1"]}),
+        json.dumps({"version": COVERAGE_FORMAT_VERSION,
+                    "covered": ["WRR:app.py:1"],
+                    "reached": {"WRR:app.py:1": -1.0}, "seconds": 1.0}),
+        json.dumps({"version": COVERAGE_FORMAT_VERSION,
+                    "covered": ["WRR:app.py:1"], "reached": {}}),
+    ], ids=["corrupt", "old-version", "bad-covered", "not-an-object",
+            "v1-entry", "negative-reach", "no-seconds"])
     def test_malformed_entry_is_a_miss(
             self, content, toy_project, toy_model, toy_workload, tmp_path,
             coverage_runs):
@@ -306,6 +349,8 @@ class TestEntries:
         cache = ScanCache(tmp_path / "ws" / "scan_cache")
         [entry] = coverage_entries(cache.cache_dir)
         key = entry.name[len("coverage-"):-len(".json")]
-        assert cache.lookup_coverage(key) == {
-            "version": COVERAGE_FORMAT_VERSION, "covered": ["WRR:app.py:0"],
-        }
+        stored = cache.lookup_coverage(key)
+        assert (stored["version"], stored["covered"]) == (
+            COVERAGE_FORMAT_VERSION, ["WRR:app.py:0"])
+        assert set(stored["reached"]) == {"WRR:app.py:0"}
+        assert stored["reached"]["WRR:app.py:0"] <= stored["seconds"]

@@ -1,12 +1,14 @@
 """Longest-expected-first dispatch from durations recorded in the scan
-cache.
+cache, or from the coverage pre-run's reach times.
 
 After execution a campaign with a ``scan_cache_dir`` stores each
 injection point's experiment duration under ``durations_key`` — a digest
 of the pristine image, the workload, the rounds, the trigger, the
 interpreter and the inherited environment.  A re-campaign on the same
 cache generates its ``(file, spec)`` groups slowest first, so a slow
-experiment no longer starts last.  Dispatch order never changes results.
+experiment no longer starts last.  A campaign with no recorded durations
+but a coverage pre-run estimates each experiment from when the pre-run
+first reached its point.  Dispatch order never changes results.
 """
 
 import json
@@ -19,6 +21,7 @@ from chaos import stream_projection, worker_shard_streams
 from repro.dsl.parser import parse_spec
 from repro.faultmodel.model import FaultModel
 from repro.orchestrator.campaign import Campaign, CampaignConfig
+from repro.orchestrator.coverage import CoverageReport
 from repro.orchestrator.executor import ExperimentExecutor
 from repro.orchestrator.experiment import (
     STATUS_COMPLETED,
@@ -500,3 +503,134 @@ class TestKeys:
         assert sorted(json.loads(entry.read_text())["durations"]) == \
             sorted(BASE_ORDER)
         assert list((tmp_path / "ws").rglob("durations-*.json")) == [entry]
+
+
+# -- cold campaigns ordered by coverage reach times -------------------------------
+
+#: Seconds the reach workload sleeps before calling each next module.
+REACH_GAP = 0.3
+
+#: The reach project's points in base order; the pre-run reaches them
+#: in this order too, ``REACH_GAP`` apart.
+REACH_ORDER = [f"R1:r_{index}.py:0" for index in range(4)]
+
+
+@pytest.fixture
+def reach_project(tmp_path):
+    """Four one-return modules; the workload calls module *i* after
+    *i* sleeps, so a fault there fails the run that late."""
+    root = tmp_path / "target"
+    root.mkdir()
+    for index in range(len(REACH_ORDER)):
+        (root / f"r_{index}.py").write_text(
+            f"def value():\n    result = {index}\n    return result\n")
+    (root / "run.py").write_text(textwrap.dedent(
+        f"""
+        import importlib
+        import sys
+        import time
+
+        for index in range({len(REACH_ORDER)}):
+            if index:
+                time.sleep({REACH_GAP})
+            if importlib.import_module(f"r_{{index}}").value() != index:
+                sys.exit(1)
+        print("WORKLOAD SUCCESS")
+        """
+    ).strip() + "\n")
+    return root
+
+
+def reach_config(project, tmp_path, label, **overrides):
+    model = FaultModel(name="returns")
+    model.add(parse_spec(RETURN_SPEC, name="R1"), description="r1")
+    settings = dict(
+        injectable_files=[f"r_{index}.py"
+                          for index in range(len(REACH_ORDER))],
+        coverage=True,
+    )
+    settings.update(overrides)
+    return make_config(project, model, tmp_path, label, **settings)
+
+
+def reach_line(count):
+    return f"[order] dispatch longest-first from {count} coverage reach times"
+
+
+class TestReachOrder:
+    def test_cold_campaign_starts_the_latest_reached_first(
+            self, reach_project, tmp_path, started):
+        campaign, result, lines = run(reach_config(reach_project, tmp_path,
+                                                   "first"))
+        assert started == REACH_ORDER[::-1]
+        assert dispatch_lines(lines) == [reach_line(4)]
+        reached = result.coverage.reached
+        assert sorted(reached, key=reached.get) == REACH_ORDER
+        stats = campaign.scan_cache.stats()
+        assert (stats["durations_hits"], stats["durations_misses"]) == (0, 1)
+
+    def test_estimate_adds_the_fault_free_rounds(self):
+        report = CoverageReport(reached={"R1:a.py:0": 0.25,
+                                         "R1:a.py:1": 1.5}, seconds=2.0)
+        assert report.expected_seconds(1) == report.reached
+        assert report.expected_seconds(3) == {"R1:a.py:0": 4.25,
+                                              "R1:a.py:1": 5.5}
+
+    def test_process_shards_start_the_latest_reached_first(
+            self, reach_project, tmp_path, kept_workers):
+        _, result, lines = run(reach_config(
+            reach_project, tmp_path, "first", backend="process", shards=2))
+        assert dispatch_lines(lines) == [reach_line(4)]
+        # Shard 1 holds r_0, r_1 and r_3 (shard 0 only r_2), so in plan
+        # order its worker would start r_3 last.
+        ids = {experiment.fault_id: experiment.experiment_id
+               for experiment in result.experiments}
+        assert [shard_index(ids[point], 2) for point in REACH_ORDER] == \
+            [1, 1, 0, 1]
+        executor = ExperimentExecutor(
+            image=None, workload=None, models={}, base_dir=None,
+            expected_seconds=result.coverage.expected_seconds(1))
+        ran = Counter()
+        first_started = []
+        for path in worker_shard_streams(tmp_path / "first"):
+            started = [PlannedExperiment.from_dict(json.loads(line))
+                       for line in path.read_text().splitlines()]
+            assert [planned.experiment_id for planned in started] == [
+                planned.experiment_id
+                for planned in executor.dispatch_order(started)]
+            first_started.append(started[0].point.point_id)
+            ran.update(planned.experiment_id for planned in started)
+        assert "R1:r_3.py:0" in first_started
+        assert sorted(ran) == sorted(ids.values())
+        assert set(ran.values()) == {1}
+
+    def test_recorded_durations_win(self, reach_project, tmp_path,
+                                    started):
+        run(reach_config(reach_project, tmp_path, "first"))
+        [entry] = durations_entries(tmp_path / "cache")
+        # The reverse of the reach order: the earliest reached slowest.
+        write_durations(entry, {point: float(len(REACH_ORDER) - index)
+                                for index, point in enumerate(REACH_ORDER)})
+        del started[:]
+        _, _, lines = run(reach_config(reach_project, tmp_path, "second"))
+        assert started == REACH_ORDER
+        [line] = dispatch_lines(lines)
+        assert "from 4 recorded durations" in line
+
+    def test_stopping_rule_keeps_the_base_order(
+            self, reach_project, tmp_path, started):
+        _, result, lines = run(reach_config(
+            reach_project, tmp_path, "first",
+            sampling=SamplingConfig(margin=0.01)))
+        assert result.coverage.reached
+        assert result.stopped_early is None
+        assert started == REACH_ORDER
+        assert dispatch_lines(lines) == []
+
+    def test_without_cache_dir_reach_times_still_order(
+            self, reach_project, tmp_path, started):
+        campaign, _, lines = run(reach_config(reach_project, tmp_path,
+                                              "first", cache=None))
+        assert campaign.scan_cache is None
+        assert started == REACH_ORDER[::-1]
+        assert dispatch_lines(lines) == [reach_line(4)]

@@ -69,15 +69,26 @@ class TestTrigger:
         assert runtime.enabled("f1")
 
 
+def probe_lines(coverage):
+    """``(point id, time)`` per line of a coverage file."""
+    rows = []
+    for line in coverage.read_text().splitlines():
+        point_id, stamp = line.split("\t")
+        rows.append((point_id, float(stamp)))
+    return rows
+
+
 class TestCoverage:
     def test_probe_appends_once(self, runtime, tmp_path, monkeypatch):
         coverage = tmp_path / "cov"
         monkeypatch.setenv(COVERAGE_ENV, str(coverage))
+        before = time.time()
         runtime.cover("p1")
         runtime.cover("p1")
         runtime.cover("p2")
-        lines = coverage.read_text().splitlines()
-        assert lines == ["p1", "p2"]
+        rows = probe_lines(coverage)
+        assert [point_id for point_id, _ in rows] == ["p1", "p2"]
+        assert all(before <= stamp <= time.time() for _, stamp in rows)
 
     def test_probe_noop_without_env(self, runtime):
         runtime.cover("p1")  # must not raise
@@ -96,8 +107,9 @@ class TestCoverage:
             thread.start()
         for thread in threads:
             thread.join()
-        lines = coverage.read_text().splitlines()
-        assert sorted(lines) == ["p0", "p1", "p2"]
+        rows = probe_lines(coverage)
+        assert sorted(point_id for point_id, _ in rows) == ["p0", "p1", "p2"]
+        assert all(isinstance(stamp, float) for _, stamp in rows)
 
 
 class TestCorrupt:
