@@ -76,4 +76,14 @@ def test_incremental_rescan_cost(benchmark, tmp_path):
         "(0 files read, 1 tree-manifest hit)\n"
         f"  {CHANGED}-file re-scan:      {changed_time * 1000:.0f} ms "
         f"({CHANGED} files read, {len(files) - CHANGED} stat trusts)",
+        metrics={
+            "cold_scan_s": (cold_time, "s"),
+            "unchanged_rescan_s": (unchanged_time, "s"),
+            f"changed_{CHANGED}_rescan_s": (changed_time, "s"),
+            "cold_files_read": (len(files), "count"),
+            "unchanged_files_read": (stats["files_read"] - len(files),
+                                     "count"),
+            f"changed_{CHANGED}_files_read": (
+                after["files_read"] - before["files_read"], "count"),
+        },
     )

@@ -3,11 +3,17 @@
 Every benchmark regenerates one table/figure of the paper (see DESIGN.md
 §3).  Besides the pytest-benchmark timings, each bench writes the
 paper-style rows to ``benchmarks/results/<name>.txt`` so the measured
-numbers survive output capture; EXPERIMENTS.md collects them.
+numbers survive output capture; EXPERIMENTS.md collects them.  A bench
+that passes ``metrics`` to :func:`write_result` also leaves a JSON record,
+``benchmarks/results/BENCH_<name>.json``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
 import textwrap
 from pathlib import Path
 
@@ -64,12 +70,43 @@ change {
 """
 
 
-def write_result(name: str, text: str) -> None:
-    """Persist a paper-style table under benchmarks/results/ and print it."""
+def git_sha() -> str | None:
+    """The checked-out commit, or None outside a git checkout."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip() or None
+
+
+def write_result(name: str, text: str,
+                 metrics: "dict[str, tuple[float, str]] | None" = None,
+                 ) -> None:
+    """Persist a paper-style table under benchmarks/results/ and print it.
+
+    With ``metrics`` (``{metric: (value, unit)}``), also write the
+    machine-readable record ``benchmarks/results/BENCH_<name>.json``:
+    the git sha, the Python version, ``os.cpu_count()`` and
+    ``{metric: {"value", "unit"}}``.
+    """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text.rstrip() + "\n", encoding="utf-8")
     print(f"\n[{name}]\n{text}")
+    if metrics is not None:
+        record = {
+            "bench": name,
+            "git_sha": git_sha(),
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "metrics": {metric: {"value": value, "unit": unit}
+                        for metric, (value, unit) in metrics.items()},
+        }
+        (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+            json.dumps(record, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.dsl.directives import Directive, DirectiveKind
+from repro.dsl.directives import Directive
 from repro.dsl.lexer import is_placeholder
 from repro.dsl.parser import BugSpec
 
@@ -74,20 +74,9 @@ class MetaModel:
             return self.directive_of_name(stmt.value)
         return None
 
-    def stmt_directive_kind(self, stmt: ast.stmt) -> DirectiveKind | None:
-        directive = self.directive_of_stmt(stmt)
-        return directive.kind if directive else None
-
     def describe(self) -> str:
         parts = [d.describe() for d in self.directives.values()]
         return f"MetaModel({self.name}; directives: {', '.join(parts) or 'none'})"
-
-
-def iter_placeholder_names(tree: ast.AST):
-    """Yield every placeholder ``Name`` node in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and is_placeholder(node.id):
-            yield node
 
 
 def is_ellipsis_expr(node: ast.AST) -> bool:

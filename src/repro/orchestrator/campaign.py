@@ -1,11 +1,15 @@
 """The full ProFIPy workflow: Scan → Execution → Data Analysis (Fig. 2).
 
-:class:`Campaign` wires every phase together: compile the fault model,
-scan the injectable files, build the plan (filter/sample), optionally
-reduce it by coverage, then hand the pending plan to a pluggable
-execution backend (``CampaignConfig.backend``) that pipelines mutant
-generation with sharded experiment execution, streaming results to
-disk, and finally pass everything to the analysis layer.
+:meth:`Campaign.run` is a sequence of stages, each a :class:`Campaign`
+method that takes and returns plain data: ``prepare`` (materialize a
+manifest-only target, check the target, build the sandbox image),
+``scan``, ``plan`` (points to a :class:`Plan`, filters applied),
+``cover`` (the coverage pre-run reduces the plan), ``sample``,
+``open_stream`` (meta check, shard-stream recovery, resume set),
+``order`` (expected seconds for longest-first dispatch), ``execute``
+(a pluggable backend, ``CampaignConfig.backend``, pipelines mutant
+generation with sharded execution and streams results to disk) and
+``finish`` (a stopping rule's early stop versus a cancellation).
 
 The execution phase is deterministic and crash-resumable: every
 per-experiment RNG and runtime seed derives from
@@ -17,17 +21,19 @@ campaign over the same stream skips the recorded experiment ids.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.common.fsutil import remove_tree
+from repro.common.fsutil import iter_python_files, remove_tree
 from repro.faultmodel.model import FaultModel
 from repro.orchestrator.backends import (
     BACKEND_REMOTE,
     BACKEND_THREAD,
     ExecutionContext,
+    ExecutionOutcome,
     create_backend,
     discard_shard_streams,
     recover_shard_streams,
@@ -293,7 +299,37 @@ class Campaign:
         self.scan_cache = (ScanCache(config.scan_cache_dir)
                            if config.scan_cache_dir is not None else None)
 
-    # -- scan phase --------------------------------------------------------------
+    # -- stages ------------------------------------------------------------------
+
+    def prepare(self, workspace: Path, say) -> tuple[object | None,
+                                                     SandboxImage]:
+        """Materialize a manifest-only target (replacing :attr:`config`),
+        check the target and build the image: ``(manifest, image)``."""
+        config = self.config
+        target_manifest = None
+        if config.image_manifest is not None:
+            # Lazy: the service package imports orchestrator modules.
+            from repro.service.blobs import BlobStore, ImageManifest
+
+            target_manifest = ImageManifest.from_dict(config.image_manifest)
+            if not config.target_dir.exists():
+                # The target tree never touched this host's disk:
+                # rebuild it byte-for-byte from the local blob store
+                # and run the normal workflow over the copy.
+                say("materializing target from manifest "
+                    f"{target_manifest.tree_digest[:12]}")
+                materialized = workspace / "target"
+                target_manifest.materialize(materialized, BlobStore(
+                    config.blob_cache_dir or workspace / "blobs"))
+                config = self.config = dataclasses.replace(
+                    config, target_dir=materialized)
+        if not config.target_dir.exists():
+            raise FileNotFoundError(
+                f"target_dir {config.target_dir} not found")
+        say("building sandbox image")
+        image = SandboxImage.build(config.target_dir, workspace / "image",
+                                   containerfile=config.containerfile)
+        return target_manifest, image
 
     def scan(self) -> ScanResult:
         """Find every injection point in the injectable files.
@@ -307,12 +343,9 @@ class Campaign:
         config = self.config
         if not config.target_dir.exists():
             raise FileNotFoundError(
-                f"target_dir {config.target_dir} not found"
-            )
+                f"target_dir {config.target_dir} not found")
         files = config.injectable_files
         if files is None:
-            from repro.common.fsutil import iter_python_files
-
             paths = sorted(iter_python_files(config.target_dir))
         else:
             paths = [config.target_dir / rel for rel in files]
@@ -321,342 +354,318 @@ class Campaign:
         # produce identical cache digests).
         models = list(self.models.values())
         return scan_files(
-            paths,
-            [model.spec for model in models],
-            root=config.target_dir,
-            jobs=config.scan_jobs or 1,
-            cache=self.scan_cache,
-            models=models,
+            paths, [model.spec for model in models], root=config.target_dir,
+            jobs=config.scan_jobs or 1, cache=self.scan_cache, models=models,
             incremental=config.scan_incremental,
         )
+
+    def plan(self, scan: ScanResult) -> Plan:
+        """The scanned points as a plan, narrowed by the filters."""
+        config = self.config
+        plan = Plan.from_points(scan.points, prefix=f"{config.name}")
+        if config.spec_filter or config.file_filter:
+            plan = plan.filter(spec_names=config.spec_filter,
+                               files=config.file_filter)
+        return plan
+
+    def cover(self, image: SandboxImage, plan: Plan, workspace: Path,
+              say) -> tuple[Plan, CoverageReport]:
+        """Run (or reuse) the coverage pre-run: ``(plan reduced to the
+        covered points, report)``.  A pre-run whose services fail to
+        start raises ``RuntimeError``."""
+        say(f"coverage pre-run over {len(plan)} points")
+        report = run_coverage(image, self.config.workload, plan.points,
+                              self.models, workspace / "sandboxes",
+                              cache=self.scan_cache)
+        if report.error:
+            # Reducing by an empty covered set would "complete" a
+            # campaign that injected nothing.
+            raise RuntimeError(f"coverage pre-run failed: {report.error}")
+        if report.reused:
+            say(f"coverage reused (key {report.key[:12]})")
+        if report.workload_failed:
+            # The plan is still reduced, but by what a failing run
+            # reached: say so.
+            say("coverage pre-run: fault-free workload failed; covered "
+                "set not stored")
+        return reduce_plan(plan, report), report
+
+    def sample(self, plan: Plan, say) -> Plan:
+        """The configured sample of ``plan``, drawn prefix-stable: a
+        larger target (or none) plans a superset, so resume runs only
+        the delta."""
+        sampling = self.config.sampling
+        target = sampling.max_experiments if sampling is not None else None
+        if target is None:
+            target = self.config.sample
+        if target is None:
+            return plan
+        sampled = monotone_sample(plan, target, self.config.seed, stratify_by=(
+            sampling.stratify_by if sampling is not None else None))
+        say(f"sampled {len(sampled)} of {len(plan)} planned experiments")
+        return sampled
+
+    def open_stream(self, stream: ExperimentStream, plan: Plan,
+                    target_manifest, say) -> Plan:
+        """Check the result stream against this campaign (or clear it,
+        with ``resume`` off) and return the part of ``plan`` it has not
+        recorded yet."""
+        config = self.config
+        # Fingerprint of everything that gives experiment ids their
+        # meaning; a stream recorded under different parameters must
+        # not be silently replayed as this campaign's results.
+        stream_meta = {
+            "campaign": config.name,
+            "seed": config.seed,
+            "faultload": faultload_digest(list(self.models.values())),
+            # A manifest names the target by *content*, so the same
+            # campaign resumes cleanly on any host; a path-based target
+            # keeps its host-local identity.
+            "target": (f"manifest:{target_manifest.tree_digest}"
+                       if target_manifest is not None
+                       else str(config.target_dir.resolve())),
+        }
+        if not config.resume:
+            stream.clear()
+            discard_shard_streams(stream.path)
+            stream.write_meta(stream_meta)
+            return plan
+        existing_meta = stream.read_meta()
+        if existing_meta is not None and existing_meta != stream_meta:
+            changed = sorted(key for key in stream_meta
+                             if existing_meta.get(key) != stream_meta[key])
+            raise ValueError(
+                f"result stream {stream.path} was recorded by a "
+                f"different campaign (changed: {', '.join(changed)}); "
+                "re-run with resume=False (--no-resume) or use a "
+                "fresh workspace"
+            )
+        # A run killed mid-flight under a sharded backend leaves partial
+        # per-shard streams; fold them into the canonical stream *before*
+        # computing the resume set, so those experiments count as
+        # recorded regardless of the backend or shard count this run uses.
+        salvaged = recover_shard_streams(stream)
+        if salvaged:
+            say(f"recovered {salvaged} experiments from partial shard "
+                "streams")
+        recorded = stream.recorded_ids()
+        if existing_meta is None:
+            stream.write_meta(stream_meta)
+        pending = plan.excluding(recorded)
+        if len(pending) < len(plan):
+            say(f"resuming: {len(plan) - len(pending)} experiments already "
+                "recorded in the stream")
+        return pending
+
+    def order(self, dispatch_key: str | None,
+              coverage: CoverageReport | None, say) -> dict[str, float]:
+        """Expected seconds per point id for longest-first dispatch:
+        recorded durations, else coverage reach times, else none."""
+        recorded = (self.scan_cache.lookup_durations(dispatch_key)
+                    if dispatch_key is not None else None)
+        if recorded is not None:
+            expected = recorded["durations"]
+            say(f"dispatch longest-first from {len(expected)} recorded "
+                f"durations (key {dispatch_key[:12]})")
+            return expected
+        if coverage is not None and coverage.reached:
+            expected = coverage.expected_seconds(self.config.rounds)
+            say(f"dispatch longest-first from {len(expected)} coverage "
+                "reach times")
+            return expected
+        return {}
+
+    def execute(self, image: SandboxImage, pending: Plan,
+                stream: ExperimentStream, workspace: Path,
+                artifacts: Path | None, expected: dict[str, float],
+                cancel, monitor: StoppingMonitor | None, on_progress,
+                dispatch_key: str | None, say) -> ExecutionOutcome:
+        """Run ``pending`` on the configured backend, then record each
+        point's duration under ``dispatch_key``.  The executor polls the
+        user's ``cancel``; the backend polls :func:`_cancel_or_stop`."""
+        config = self.config
+        executor = ExperimentExecutor(
+            image=image, workload=config.workload, models=self.models,
+            base_dir=workspace / "sandboxes", trigger=config.trigger,
+            rounds=config.rounds, campaign_seed=config.seed,
+            artifacts_dir=artifacts, cancel_check=cancel,
+            expected_seconds=expected,
+        )
+        say(f"executing {len(pending)} experiments "
+            f"({config.backend} backend, {config.shards} shard(s), "
+            "pipelined mutant generation)")
+        registry = shard_manifest = blob_store = None
+        if config.registry_url:
+            # Lazy: client.py imports this module at load time.
+            from repro.service.client import ProFIPyClient
+
+            registry = ProFIPyClient(config.registry_url, timeout=10.0)
+        if config.backend == BACKEND_REMOTE:
+            # Snapshot the *built* image (runtime + containerfile
+            # effects included) into the local blob store; the backend
+            # ships workers the manifest plus only the blobs each one
+            # reports missing — no shared filesystem.
+            from repro.service.blobs import BlobStore, ImageManifest
+
+            blob_store = BlobStore(config.blob_cache_dir
+                                   or workspace / "blobs")
+            shard_manifest = ImageManifest.from_image(image, store=blob_store)
+        context = ExecutionContext(
+            executor=executor, fault_model=config.fault_model,
+            shards=config.shards, parallelism=config.parallelism,
+            cancel=(cancel if monitor is None else functools.partial(
+                _cancel_or_stop, cancel, monitor.check)),
+            on_progress=on_progress, workers=config.workers,
+            registry=registry, image_manifest=shard_manifest,
+            blob_store=blob_store,
+        )
+        outcome = create_backend(config.backend).execute(
+            context, list(pending), stream)
+        if dispatch_key is not None:
+            self.scan_cache.store_durations(dispatch_key, stream.durations())
+        return outcome
+
+    def finish(self, result: CampaignResult, outcome: ExecutionOutcome,
+               monitor: StoppingMonitor | None, cancel,
+               say) -> CampaignResult:
+        """Tell a stopping rule's early stop, a successful bounded-cost
+        campaign, from a cancellation, which raises
+        :class:`CampaignCancelled` with the partial result."""
+        user_cancelled = cancel is not None and cancel()
+        if monitor is not None:
+            result.mode_estimates = monitor.summary_block()
+        if outcome.cancelled or user_cancelled:
+            if (monitor is not None and monitor.stopped
+                    and not user_cancelled):
+                # The stream stays a valid resume point.
+                result.stopped_early = result.mode_estimates
+                say(f"stopped early after {result.executed} experiments: "
+                    f"{monitor.reason}")
+            else:
+                say(f"cancelled after {result.executed} recorded "
+                    "experiments")
+                raise CampaignCancelled(result)
+        if result.stopped_early is None:
+            say(f"done: {len(result.failures)}/{result.executed} "
+                "experiments showed failures")
+        return result
 
     # -- full workflow -------------------------------------------------------------
 
     def run(self, progress=None, cancel=None,
             on_progress=None) -> CampaignResult:
-        """Scan, plan, (optionally) reduce by coverage, execute, collect.
+        """Run the stages in order, each timed at its boundaries.
 
         ``cancel`` is an optional zero-argument callable polled between
-        experiments (the service layer wires it to the job scheduler's
-        cancel flag).  Once it returns true, no further experiment
+        experiments.  Once it returns true, no further experiment
         starts; in-flight ones finish and are recorded, then
         :class:`CampaignCancelled` is raised carrying the partial result.
-
-        ``on_progress`` is an optional callable receiving shard-aware
-        progress snapshots (``experiments_done``/``experiments_total``
-        over the *whole* plan, plus per-shard states) as the execution
-        backend advances — the feed the service layer persists for
-        ``/v1/jobs/{id}``.
-
-        A coverage pre-run whose services fail to start raises
-        ``RuntimeError`` instead of reducing the plan to nothing.
+        ``on_progress`` receives shard-aware progress snapshots over the
+        *whole* plan (the feed the service persists for
+        ``/v1/jobs/{id}``).
         """
         config = self.config
         owns_workspace = config.workspace is None
         workspace = Path(
-            config.workspace or tempfile.mkdtemp(prefix="profipy-")
-        )
+            config.workspace or tempfile.mkdtemp(prefix="profipy-"))
         workspace.mkdir(parents=True, exist_ok=True)
-        result = CampaignResult(name=config.name)
-        result.workspace = workspace
-        say = progress or (lambda _msg: None)
+        result = CampaignResult(name=config.name, workspace=workspace)
+        say = functools.partial(_announce, progress, config.name)
         stream = ExperimentStream(
-            config.results_path or workspace / "experiments.jsonl"
-        )
+            config.results_path or workspace / "experiments.jsonl")
         try:
-            target_manifest = None
-            if config.image_manifest is not None:
-                # Lazy: the service package imports orchestrator modules.
-                from repro.service.blobs import BlobStore, ImageManifest
-
-                target_manifest = ImageManifest.from_dict(
-                    config.image_manifest
-                )
-                if not config.target_dir.exists():
-                    # The target tree never touched this host's disk:
-                    # rebuild it byte-for-byte from the local blob store
-                    # and run the normal workflow over the copy.
-                    say(f"[{config.name}] materializing target from "
-                        f"manifest {target_manifest.tree_digest[:12]}")
-                    materialized = workspace / "target"
-                    target_manifest.materialize(
-                        materialized,
-                        BlobStore(config.blob_cache_dir
-                                  or workspace / "blobs"),
-                    )
-                    config = self.config = dataclasses.replace(
-                        config, target_dir=materialized
-                    )
-            if not config.target_dir.exists():
-                raise FileNotFoundError(
-                    f"target_dir {config.target_dir} not found"
-                )
-            say(f"[{config.name}] building sandbox image")
-            image = SandboxImage.build(
-                config.target_dir, workspace / "image",
-                containerfile=config.containerfile,
-            )
-
-            say(f"[{config.name}] scanning for injection points")
-            scan_started = time.monotonic()
-            scan = self.scan()
-            result.scan_seconds = time.monotonic() - scan_started
+            target_manifest, image = self.prepare(workspace, say)
+            say("scanning for injection points")
+            scan, result.scan_seconds = _timed(self.scan)
             result.scan_errors = scan.parse_errors
             result.points_found = len(scan.points)
-
-            plan = Plan.from_points(scan.points,
-                                    prefix=f"{config.name}")
-            if config.spec_filter or config.file_filter:
-                plan = plan.filter(spec_names=config.spec_filter,
-                                   files=config.file_filter)
+            plan = self.plan(scan)
             if config.coverage:
-                say(f"[{config.name}] coverage pre-run over "
-                    f"{len(plan)} points")
-                coverage_started = time.monotonic()
-                report = run_coverage(
-                    image, config.workload, plan.points, self.models,
-                    workspace / "sandboxes", cache=self.scan_cache,
-                )
-                result.coverage_seconds = (
-                    time.monotonic() - coverage_started
-                )
-                result.coverage = report
-                if report.error:
-                    # Reducing by an empty covered set would "complete"
-                    # a campaign that injected nothing.
-                    raise RuntimeError(
-                        f"coverage pre-run failed: {report.error}"
-                    )
-                if report.reused:
-                    say(f"[{config.name}] coverage reused "
-                        f"(key {report.key[:12]})")
-                if report.workload_failed:
-                    # The plan is still reduced, but by what a failing
-                    # run reached: say so.
-                    say(f"[{config.name}] coverage pre-run: fault-free "
-                        "workload failed; covered set not stored")
-                plan = reduce_plan(plan, report)
+                (plan, result.coverage), result.coverage_seconds = _timed(
+                    self.cover, image, plan, workspace, say)
             result.population = len(plan)
-            sampling = config.sampling
-            sample_target = (sampling.max_experiments
-                             if sampling is not None else None)
-            if sample_target is None:
-                sample_target = config.sample
-            if sample_target is not None:
-                # Prefix-stable draw: re-running with a larger target
-                # (or none) plans a superset, so resume executes only
-                # the delta.
-                plan = monotone_sample(
-                    plan, sample_target, config.seed,
-                    stratify_by=(sampling.stratify_by
-                                 if sampling is not None else None),
-                )
-                say(f"[{config.name}] sampled {len(plan)} of "
-                    f"{result.population} planned experiments")
+            plan = self.sample(plan, say)
             result.points_planned = len(plan)
-
-            # Fingerprint of everything that gives experiment ids their
-            # meaning; a stream recorded under different parameters must
-            # not be silently replayed as this campaign's results.
-            stream_meta = {
-                "campaign": config.name,
-                "seed": config.seed,
-                "faultload": faultload_digest(list(self.models.values())),
-                # A manifest names the target by *content*, so the same
-                # campaign resumes cleanly on any host; a path-based
-                # target keeps its host-local identity.
-                "target": (f"manifest:{target_manifest.tree_digest}"
-                           if target_manifest is not None
-                           else str(config.target_dir.resolve())),
-            }
-            if config.resume:
-                existing_meta = stream.read_meta()
-                if existing_meta is not None and existing_meta != stream_meta:
-                    changed = sorted(
-                        key for key in stream_meta
-                        if existing_meta.get(key) != stream_meta[key]
-                    )
-                    raise ValueError(
-                        f"result stream {stream.path} was recorded by a "
-                        f"different campaign (changed: {', '.join(changed)}); "
-                        "re-run with resume=False (--no-resume) or use a "
-                        "fresh workspace"
-                    )
-                # A run killed mid-flight under a sharded backend leaves
-                # partial per-shard streams; fold them into the canonical
-                # stream *before* computing the resume set, so those
-                # experiments count as recorded regardless of the backend
-                # or shard count this run uses.
-                salvaged = recover_shard_streams(stream)
-                if salvaged:
-                    say(f"[{config.name}] recovered {salvaged} experiments "
-                        "from partial shard streams")
-                recorded = stream.recorded_ids()
-                if existing_meta is None:
-                    stream.write_meta(stream_meta)
-            else:
-                stream.clear()
-                discard_shard_streams(stream.path)
-                recorded = set()
-                stream.write_meta(stream_meta)
-            pending = plan.excluding(recorded)
+            pending = self.open_stream(stream, plan, target_manifest, say)
             result.resumed = len(plan) - len(pending)
-            if result.resumed:
-                say(f"[{config.name}] resuming: {result.resumed} "
-                    "experiments already recorded in the stream")
-
-            artifacts = None
-            if config.keep_artifacts:
-                artifacts = workspace / "artifacts"
-                artifacts.mkdir(parents=True, exist_ok=True)
-                result.artifacts_dir = artifacts
-            # Where per-point durations are read from and recorded.
+            monitor = _stopping_monitor(config.sampling, stream.path)
             dispatch_key = (durations_key(image, config.workload,
                                           config.rounds, config.trigger)
                             if self.scan_cache is not None else None)
-            executor = ExperimentExecutor(
-                image=image,
-                workload=config.workload,
-                models=self.models,
-                base_dir=workspace / "sandboxes",
-                trigger=config.trigger,
-                rounds=config.rounds,
-                campaign_seed=config.seed,
-                artifacts_dir=artifacts,
-                cancel_check=cancel,
-            )
-
-            # Sequential stopping rides the cooperative-cancel plumbing:
-            # the monitor tails the result streams and its check() is
-            # OR-ed into the cancel hook every backend already polls
-            # between experiments.  In-flight experiments drain
-            # normally; the user's own cancel keeps raising.
-            monitor = None
-            backend_cancel = cancel
-            if sampling is not None:
-                stop_rule = rule_from_sampling(sampling)
-                if stop_rule is not None:
-                    monitor = StoppingMonitor(
-                        stream.path, stop_rule,
-                        confidence=sampling.confidence,
-                    )
-
-                    def backend_cancel(user_cancel=cancel,
-                                       check=monitor.check):
-                        if user_cancel is not None and user_cancel():
-                            return True
-                        return check()
-
-            # Longest-expected-first dispatch keeps the slowest
-            # experiments from starting last; shard payloads carry their
-            # members' expected seconds.  Recorded durations win; with
-            # none, the coverage pre-run's reach times give the
-            # estimate.  A stopping rule reads the stream as it grows,
-            # so its order stays the plan's.
-            if monitor is None:
-                recorded_durations = (
-                    self.scan_cache.lookup_durations(dispatch_key)
-                    if dispatch_key is not None else None)
-                if recorded_durations is not None:
-                    executor.expected_seconds = (
-                        recorded_durations["durations"])
-                    say(f"[{config.name}] dispatch longest-first from "
-                        f"{len(executor.expected_seconds)} recorded "
-                        f"durations (key {dispatch_key[:12]})")
-                elif result.coverage is not None and result.coverage.reached:
-                    executor.expected_seconds = (
-                        result.coverage.expected_seconds(config.rounds))
-                    say(f"[{config.name}] dispatch longest-first from "
-                        f"{len(executor.expected_seconds)} coverage reach "
-                        "times")
-
-            say(f"[{config.name}] executing {len(pending)} experiments "
-                f"({config.backend} backend, {config.shards} shard(s), "
-                "pipelined mutant generation)")
-            pending_list = list(pending)
-
-            def emit_progress(snapshot):
-                # Backends report over the pending remainder; the job
-                # view shows progress over the whole plan, so offset by
-                # the experiments the resume already accounted for.
-                snapshot = dict(snapshot)
-                snapshot["experiments_done"] += result.resumed
-                snapshot["experiments_total"] += result.resumed
-                snapshot["resumed"] = result.resumed
-                on_progress(snapshot)
-
-            backend = create_backend(config.backend)
-            registry = None
-            if config.registry_url:
-                # Lazy: client.py imports this module at load time.
-                from repro.service.client import ProFIPyClient
-
-                registry = ProFIPyClient(config.registry_url, timeout=10.0)
-            shard_manifest = None
-            blob_store = None
-            if config.backend == BACKEND_REMOTE:
-                # Snapshot the *built* image (runtime + containerfile
-                # effects included) into the local blob store; the
-                # backend ships workers the manifest plus only the blobs
-                # each one reports missing — no shared filesystem.
-                from repro.service.blobs import BlobStore, ImageManifest
-
-                blob_store = BlobStore(config.blob_cache_dir
-                                       or workspace / "blobs")
-                shard_manifest = ImageManifest.from_image(
-                    image, store=blob_store
-                )
-            context = ExecutionContext(
-                executor=executor,
-                fault_model=config.fault_model,
-                shards=config.shards,
-                parallelism=config.parallelism,
-                cancel=backend_cancel,
-                on_progress=(emit_progress if on_progress is not None
-                             else None),
-                workers=config.workers,
-                registry=registry,
-                image_manifest=shard_manifest,
-                blob_store=blob_store,
-            )
-            execution_started = time.monotonic()
-            outcome = backend.execute(context, pending_list, stream)
-            result.execution_seconds = time.monotonic() - execution_started
+            # A stopping rule reads the stream as it grows, so its order
+            # stays the plan's.
+            expected = ({} if monitor is not None
+                        else self.order(dispatch_key, result.coverage, say))
+            if config.keep_artifacts:
+                result.artifacts_dir = workspace / "artifacts"
+                result.artifacts_dir.mkdir(parents=True, exist_ok=True)
+            feed = (functools.partial(_progress_over_plan, on_progress,
+                                      result.resumed)
+                    if on_progress is not None else None)
+            outcome, result.execution_seconds = _timed(
+                self.execute, image, pending, stream, workspace,
+                result.artifacts_dir, expected, cancel, monitor, feed,
+                dispatch_key, say)
             result.experiments_path = stream.path
-            if dispatch_key is not None:
-                self.scan_cache.store_durations(dispatch_key,
-                                                stream.durations())
-            user_cancelled = cancel is not None and cancel()
-            if monitor is not None:
-                result.mode_estimates = monitor.summary_block()
-            if outcome.cancelled or user_cancelled:
-                if (monitor is not None and monitor.stopped
-                        and not user_cancelled):
-                    # The stopping rule — not the user — ended the run:
-                    # a successful bounded-cost campaign, not a
-                    # cancellation.  The stream stays a valid resume
-                    # point toward exhaustive.
-                    result.stopped_early = result.mode_estimates
-                    say(f"[{config.name}] stopped early after "
-                        f"{result.executed} experiments: "
-                        f"{monitor.reason}")
-                else:
-                    say(f"[{config.name}] cancelled after "
-                        f"{result.executed} recorded experiments")
-                    raise CampaignCancelled(result)
-            if result.stopped_early is None:
-                say(f"[{config.name}] done: "
-                    f"{len(result.failures)}/{result.executed} experiments "
-                    "showed failures")
-            return result
+            return self.finish(result, outcome, monitor, cancel, say)
         finally:
             if owns_workspace and not config.keep_artifacts:
-                # The stream file lives in the workspace we are about to
-                # delete: materialize results first so the analysis layer
-                # still sees them.
-                result.materialize()
-                if (result.experiments_path is not None
-                        and workspace in result.experiments_path.parents):
-                    result.experiments_path = None
-                result.workspace = None
-                remove_tree(workspace)
+                _discard_workspace(result, workspace)
+
+
+def _announce(progress, name: str, message: str) -> None:
+    """Send one progress line, prefixed with the campaign name."""
+    if progress is not None:
+        progress(f"[{name}] {message}")
+
+
+def _timed(stage, *args):
+    """``(stage(*args), seconds it took)``."""
+    started = time.monotonic()
+    value = stage(*args)
+    return value, time.monotonic() - started
+
+
+def _stopping_monitor(sampling: SamplingConfig | None,
+                      stream_path: Path) -> StoppingMonitor | None:
+    """The monitor of the sampling policy's stopping rule, if it has one.
+
+    Sequential stopping rides the cooperative-cancel plumbing: the
+    monitor tails the result streams, and its ``check()`` is OR-ed into
+    the cancel hook every backend already polls between experiments.
+    """
+    rule = rule_from_sampling(sampling) if sampling is not None else None
+    if rule is None:
+        return None
+    return StoppingMonitor(stream_path, rule,
+                           confidence=sampling.confidence)
+
+
+def _cancel_or_stop(cancel, stop) -> bool:
+    """The backends' cancel hook under a stopping rule: true once the
+    user's ``cancel`` or the rule's ``stop`` check is.  In-flight
+    experiments drain either way; only the user's cancel raises."""
+    if cancel is not None and cancel():
+        return True
+    return stop()
+
+
+def _progress_over_plan(on_progress, resumed: int, snapshot: dict) -> None:
+    """Pass on a backend's progress snapshot, which counts the pending
+    remainder, over the whole plan: the resumed experiments count too."""
+    snapshot = dict(snapshot)
+    snapshot["experiments_done"] += resumed
+    snapshot["experiments_total"] += resumed
+    snapshot["resumed"] = resumed
+    on_progress(snapshot)
+
+
+def _discard_workspace(result: CampaignResult, workspace: Path) -> None:
+    """Remove a temporary workspace, materializing the results streamed
+    into it first so the analysis layer still sees them."""
+    result.materialize()
+    if (result.experiments_path is not None
+            and workspace in result.experiments_path.parents):
+        result.experiments_path = None
+    result.workspace = None
+    remove_tree(workspace)

@@ -49,7 +49,7 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from repro.common.fsutil import read_json, write_json
+from repro.common.fsutil import atomic_write, read_json
 from repro.common.textutil import SourceLines
 from repro.dsl.metamodel import MetaModel
 from repro.dsl.parser import BugSpec
@@ -108,11 +108,13 @@ _ROW_KEYS = {"spec_name", "ordinal", "lineno", "end_lineno", "snippet"}
 _STAT_KEYS = {"size", "mtime_ns", "sha"}
 
 
-def _valid_entry(entry) -> bool:
+def _versioned(entry, version: int) -> bool:
     """Schema check: malformed/old disk entries degrade to cache misses."""
-    if not isinstance(entry, dict):
-        return False
-    if entry.get("version") != CACHE_FORMAT_VERSION:
+    return isinstance(entry, dict) and entry.get("version") == version
+
+
+def _valid_entry(entry) -> bool:
+    if not _versioned(entry, CACHE_FORMAT_VERSION):
         return False
     matches = entry.get("matches")
     if not isinstance(matches, list):
@@ -124,9 +126,7 @@ def _valid_entry(entry) -> bool:
 
 
 def _valid_tree_entry(entry) -> bool:
-    if not isinstance(entry, dict):
-        return False
-    if entry.get("version") != TREE_FORMAT_VERSION:
+    if not _versioned(entry, TREE_FORMAT_VERSION):
         return False
     files = entry.get("files")
     if not isinstance(files, dict):
@@ -151,9 +151,7 @@ def _valid_seconds_map(entry) -> bool:
 
 
 def _valid_coverage_entry(entry) -> bool:
-    if not isinstance(entry, dict):
-        return False
-    if entry.get("version") != COVERAGE_FORMAT_VERSION:
+    if not _versioned(entry, COVERAGE_FORMAT_VERSION):
         return False
     covered = entry.get("covered")
     return (isinstance(covered, list)
@@ -163,17 +161,12 @@ def _valid_coverage_entry(entry) -> bool:
 
 
 def _valid_durations_entry(entry) -> bool:
-    if not isinstance(entry, dict):
-        return False
-    if entry.get("version") != DURATIONS_FORMAT_VERSION:
-        return False
-    return _valid_seconds_map(entry.get("durations"))
+    return (_versioned(entry, DURATIONS_FORMAT_VERSION)
+            and _valid_seconds_map(entry.get("durations")))
 
 
 def _valid_stat_manifest(entry) -> bool:
-    if not isinstance(entry, dict):
-        return False
-    if entry.get("version") != CACHE_FORMAT_VERSION:
+    if not _versioned(entry, CACHE_FORMAT_VERSION):
         return False
     files = entry.get("files")
     if not isinstance(files, dict):
@@ -312,9 +305,12 @@ class ScanCache:
 
     @staticmethod
     def _persist(path: Path, entry: dict) -> None:
+        """Write ``entry`` atomically as compact JSON (the C encoder;
+        indented output would force the pure-Python one)."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            write_json(path, entry)
+            atomic_write(path, json.dumps(entry, sort_keys=True,
+                                          separators=(",", ":")))
         except OSError:
             pass  # persistence is best-effort
 

@@ -157,10 +157,13 @@ def build_index(tree: ast.AST) -> FileIndex:
                         calls[segment] = {position}
                     else:
                         positions.add(position)
-        for fname, value in ast.iter_fields(node):
+        # ``_fields`` directly (``ast.iter_fields`` adds a generator and a
+        # try/except per field); empty lists hold nothing to queue.
+        for fname in node._fields:
+            value = getattr(node, fname, None)
             if isinstance(value, ast.AST):
                 todo.append((value, enclosing))
-            elif isinstance(value, list):
+            elif isinstance(value, list) and value:
                 if is_stmt_list(value):
                     listed = StmtList(node, fname, value, {})
                     stmt_lists.append(listed)

@@ -28,6 +28,7 @@ per-spec matcher that tries a window at every statement of every file
 from __future__ import annotations
 
 import ast
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -95,12 +96,13 @@ class ScanEngine:
         """File-independent match rows of every model, in model order."""
         index = build_index(ast.parse(source))
         rows: list[dict] = []
+        # Many patterns match the same statements: render each once.
+        first_line = functools.cache(
+            lambda stmt: ast.unparse(stmt).splitlines()[0])
         for model, matcher in zip(self.models, self._matchers):
             for ordinal, match in enumerate(matcher.find_matches_in(index)):
                 snippet = "; ".join(
-                    ast.unparse(stmt).splitlines()[0]
-                    for stmt in match.stmts[:3]
-                )
+                    first_line(stmt) for stmt in match.stmts[:3])
                 rows.append({
                     "spec_name": model.name,
                     "ordinal": ordinal,

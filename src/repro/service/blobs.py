@@ -116,9 +116,6 @@ class BlobStore:
                 self.evict()
         return actual
 
-    def put_file(self, source: str | Path) -> str:
-        return self.put_bytes(Path(source).read_bytes())
-
     def get_bytes(self, digest: str) -> bytes:
         """The blob's content; ``KeyError`` when absent (the API layer
         maps it to ``unknown_blob``)."""

@@ -10,13 +10,61 @@ the whole-file renderings the splicer must agree with: they parse a
 fresh tree, take the windows :func:`every_start_matches` finds, edit the
 tree in place and ``ast.unparse`` all of it.  :func:`ast_equivalent` is
 the comparison.
+
+:func:`walk_index` is the per-file index ``build_index`` must build,
+derived with ``ast.walk`` alone: the statement lists in walk order, each
+listed statement's call segments from a walk over that statement, and
+the file fingerprint from one more walk over the tree.
 """
 
 import ast
 
 from repro.mutator.runtime import RUNTIME_ALIAS, RUNTIME_MODULE_NAME
 from repro.mutator.substitute import ReplacementBuilder, runtime_call
+from repro.scanner.index import call_name
 from repro.scanner.matcher import Match, Matcher
+
+
+def _call_segments(node):
+    """The dotted-name segments of a call node (empty for anything else)."""
+    if isinstance(node, ast.Call):
+        dotted = call_name(node.func)
+        if dotted is not None:
+            return dotted.split(".")
+    return []
+
+
+def walk_index(tree):
+    """``(lists, fingerprint, segment_lists)`` of ``tree``, the slow way.
+
+    ``lists`` holds one ``(owner, field, stmts, {segment: positions})``
+    per statement list in ``ast.walk`` order; ``fingerprint`` is the
+    ``(node types, call segments, constants)`` triple; ``segment_lists``
+    maps each segment to the indices of the lists that call it.
+    """
+    lists = []
+    for node in ast.walk(tree):
+        for fname, value in ast.iter_fields(node):
+            if not (isinstance(value, list) and value
+                    and all(isinstance(item, ast.stmt) for item in value)):
+                continue
+            calls = {}
+            for position, stmt in enumerate(value):
+                for inner in ast.walk(stmt):
+                    for segment in _call_segments(inner):
+                        calls.setdefault(segment, set()).add(position)
+            lists.append((node, fname, value, calls))
+    nodes = list(ast.walk(tree))
+    fingerprint = (
+        {type(node).__name__ for node in nodes},
+        {segment for node in nodes for segment in _call_segments(node)},
+        {node.value for node in nodes if isinstance(node, ast.Constant)},
+    )
+    segment_lists = {}
+    for list_index, (_, _, _, calls) in enumerate(lists):
+        for segment in calls:
+            segment_lists.setdefault(segment, set()).add(list_index)
+    return lists, fingerprint, segment_lists
 
 
 def every_start_matches(model, tree):
