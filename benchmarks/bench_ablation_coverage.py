@@ -9,7 +9,9 @@ no-failure experiments the reduction avoided.
 The reduced campaign runs twice on one scan cache: the second run finds
 the covered set stored under the same coverage key and starts no
 pre-run sandbox, so its coverage phase costs instrumentation and
-hashing only.
+hashing only.  A campaign's execution phase includes its pre-run, and
+on the thread backend experiments run beside it, so the reduced
+campaign's execution time already holds the pre-run's.
 """
 
 from conftest import write_result
@@ -59,7 +61,8 @@ def test_coverage_reduction(benchmark, tmp_path):
         f"  with reduction:    {reduced.executed} experiments, "
         f"{len(reduced.failures)} with failures, "
         f"{reduced.execution_seconds:.0f} s execution "
-        f"(+{reduced.coverage_seconds:.2f} s pre-run)\n"
+        f"(of which a {reduced.coverage_seconds:.2f} s pre-run, "
+        "overlapped)\n"
         f"  re-campaign on the same scan cache: coverage reused, "
         f"{rerun.coverage_seconds * 1000:.0f} ms coverage phase "
         f"({rerun.coverage.covered_count}/{rerun.coverage.total} "

@@ -30,7 +30,15 @@ executes faster while recording the same experiments.
   once with coverage off (plan order) and once with coverage on, each
   on a fresh cache.  The pre-run reaches module *i* after *i* sleeps,
   so the covered campaign starts the slowest experiment first with
-  nothing recorded.
+  nothing recorded.  Its execution phase includes the pre-run, so the
+  bench compares it without the pre-run to the plain one.
+* **Overlap, thread backend**: three modules reached at once and a
+  fourth ``LATE`` seconds later, ``rounds=2`` so that every experiment
+  still runs a fault-free round, each run on a fresh cache.  Sampled to
+  the whole plan, nothing starts before the pre-run's report; unsampled,
+  the pre-run holds one slot and the other starts experiments of the
+  points it has reached.  The unsampled campaign must take at least
+  half a pre-run less wall-clock time, with an equal projection.
 
 Run: ``cd benchmarks && PYTHONPATH=../src python -m pytest
 bench_dispatch_order.py -q -s``.
@@ -38,6 +46,7 @@ bench_dispatch_order.py -q -s``.
 
 import json
 import textwrap
+import time
 
 from conftest import write_result
 
@@ -57,6 +66,9 @@ UNIT = 0.5
 PROCESS_SLEEPS = [UNIT, 0, 0, UNIT, 0, 4 * UNIT]
 #: Which shard each process-case module lands on (checked below).
 PROCESS_SPLIT = [1, 1, 1, 0, 0, 1]
+
+#: Overlap case: seconds the pre-run takes to reach its fourth module.
+LATE = 1.0
 
 SPEC = """
 change {
@@ -163,6 +175,9 @@ def test_recampaign_dispatches_longest_first(tmp_path):
         f"{first.execution_seconds:.2f} s\n"
         f"  longest-expected-first (re-campaign): "
         f"{rerun.execution_seconds:.2f} s",
+        metrics={"plan_order_execution_s": (first.execution_seconds, "s"),
+                 "longest_first_execution_s": (rerun.execution_seconds,
+                                               "s")},
     )
 
 
@@ -182,6 +197,9 @@ def test_process_recampaign_dispatches_longest_first(tmp_path):
         f"{first.execution_seconds:.2f} s\n"
         f"  longest-expected-first + release steals (re-campaign): "
         f"{rerun.execution_seconds:.2f} s",
+        metrics={"plan_order_execution_s": (first.execution_seconds, "s"),
+                 "longest_first_execution_s": (rerun.execution_seconds,
+                                               "s")},
     )
 
 
@@ -200,8 +218,10 @@ def test_cold_campaign_dispatches_from_reach_times(tmp_path):
             "reach times") in covered_lines
     assert projection(covered.experiments_path) == \
         projection(plain.experiments_path)
-    assert covered.execution_seconds < plain.execution_seconds, (
-        f"reach-ordered {covered.execution_seconds:.2f} s vs plan order "
+    # The covered execution phase includes the pre-run.
+    experiments_only = covered.execution_seconds - covered.coverage_seconds
+    assert experiments_only < plain.execution_seconds, (
+        f"reach-ordered {experiments_only:.2f} s vs plan order "
         f"{plain.execution_seconds:.2f} s"
     )
     write_result(
@@ -211,6 +231,46 @@ def test_cold_campaign_dispatches_from_reach_times(tmp_path):
         f"fresh caches):\n"
         f"  plan order (coverage off): {plain.execution_seconds:.2f} s\n"
         f"  longest-first from coverage reach times: "
-        f"{covered.execution_seconds:.2f} s "
-        f"(pre-run {covered.coverage_seconds:.2f} s)",
+        f"{experiments_only:.2f} s after the pre-run "
+        f"({covered.coverage_seconds:.2f} s)",
+        metrics={"plan_order_execution_s": (plain.execution_seconds, "s"),
+                 "reach_order_execution_s": (experiments_only, "s"),
+                 "prerun_s": (covered.coverage_seconds, "s")},
+    )
+
+
+def test_prerun_overlaps_execution(tmp_path):
+    project = make_project(tmp_path / "target", [0, 0, 0, LATE])
+
+    def timed(label, **overrides):
+        started = time.monotonic()
+        result, lines = run_campaign(tmp_path, project, label,
+                                     cache=f"{label}-cache", coverage=True,
+                                     rounds=2, **overrides)
+        assert result.executed == 4
+        return result, lines, time.monotonic() - started
+
+    sampled, sampled_lines, sampled_s = timed("sampled", sample=4)
+    overlapped, lines, overlapped_s = timed("overlapped")
+    assert "[dispatch] sampled 4 of 4 planned experiments" in sampled_lines
+    assert not any("started while it ran" in line for line in sampled_lines)
+    [started_line] = [line for line in lines if "started while it ran" in line]
+    assert projection(overlapped.experiments_path) == \
+        projection(sampled.experiments_path)
+    prerun = overlapped.coverage_seconds
+    assert overlapped_s <= sampled_s - prerun / 2, (
+        f"overlapped {overlapped_s:.2f} s vs sampled {sampled_s:.2f} s "
+        f"(pre-run {prerun:.2f} s)"
+    )
+    write_result(
+        "dispatch_order_overlap",
+        f"Pre-run overlap (3 points reached at once, 1 after {LATE} s, "
+        f"rounds 2, parallelism {PARALLEL}, fresh caches):\n"
+        f"  sampled to the whole plan (nothing before the report): "
+        f"{sampled_s:.2f} s\n"
+        f"  unsampled ({started_line.split(': ', 1)[1]}): "
+        f"{overlapped_s:.2f} s (pre-run {prerun:.2f} s)",
+        metrics={"sampled_wall_s": (sampled_s, "s"),
+                 "overlapped_wall_s": (overlapped_s, "s"),
+                 "prerun_s": (prerun, "s")},
     )

@@ -3,7 +3,9 @@
 Runs the complete Fig. 2 pipeline on the toy target: compile fault model,
 scan, coverage pre-run, two-round trigger-controlled execution, failure
 classification and metrics.  One pedantic round (a campaign is seconds,
-not microseconds); the result table reports the per-phase timings.
+not microseconds); the result table reports the per-phase timings.  The
+execution phase includes the coverage pre-run (with more than one pool
+slot, experiments run beside it), so the two rows overlap.
 """
 
 from conftest import write_result
@@ -45,7 +47,8 @@ def test_fig2_full_workflow(benchmark, toy_project, toy_model,
         f"  coverage:  {result.coverage_seconds:8.2f} s  "
         f"({result.coverage.covered_count}/{result.coverage.total} covered)\n"
         f"  execution: {result.execution_seconds:8.2f} s  "
-        f"({result.executed} experiments, 2 rounds each)\n"
+        f"({result.executed} experiments, 2 rounds each; pre-run "
+        "included)\n"
         f"  failures:  round1={len(result.failures_round1)} "
         f"round2={len(result.failures_round2)}\n\n"
         + report.render(),

@@ -164,9 +164,14 @@ class CampaignReport:
         fresh = result.executed - result.resumed
         if result.execution_seconds > 0 and fresh > 0:
             rate = fresh / result.execution_seconds
+            # The execution phase spans the coverage pre-run, which
+            # experiments may run beside.
+            prerun = (", coverage pre-run included"
+                      if result.coverage is not None else "")
             lines.append(
                 f"execution throughput: {rate:.2f} experiments/s "
-                f"({fresh} experiments in {result.execution_seconds:.1f} s)"
+                f"({fresh} experiments in {result.execution_seconds:.1f} s"
+                f"{prerun})"
             )
         if result.resumed:
             lines.append(

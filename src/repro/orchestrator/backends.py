@@ -11,7 +11,9 @@ pluggable behind one :class:`ExecutionBackend` protocol, selected via
   the only producer of mutants on every backend), streaming results
   straight into the canonical ``experiments.jsonl``.  A mutant that
   cannot be generated becomes that one experiment's ``harness_error``,
-  never a failed campaign or a dead shard.
+  never a failed campaign or a dead shard.  A campaign's coverage
+  pre-run (:class:`PreRun`) is the pool's first job: it holds one slot,
+  and the others start experiments of points it has already reached.
 * :class:`RemoteBackend` (``"remote"``) — per-shard workers behind the
   versioned ``/v1`` service API: the pending plan is partitioned by the
   deterministic shard partitioner
@@ -45,6 +47,10 @@ Crash recovery of partial shard streams (:func:`recover_shard_streams`)
 runs before the campaign computes its resume set, so no recorded
 experiment is ever re-run or lost.
 
+The sharded backends run a campaign's pre-run at the start of
+``execute``, before they partition: their payloads are fixed at
+placement.
+
 Cancellation is cooperative everywhere: the thread backend polls the
 campaign's cancel hook between experiments; the sharded backends relay
 it as ``POST /v1/shards/{id}/cancel``, behind which the worker's
@@ -69,9 +75,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 from repro.faultmodel.model import FaultModel
+from repro.orchestrator.coverage import CoverageReport, ProbeTail
 from repro.orchestrator.executor import ExperimentExecutor
 from repro.orchestrator.experiment import (
     STATUS_HARNESS_ERROR,
@@ -91,6 +98,28 @@ BACKEND_NAMES = (BACKEND_THREAD, BACKEND_PROCESS, BACKEND_REMOTE)
 #: Shard stream files are canonical-stream siblings: ``experiments.jsonl``
 #: → ``experiments-3.jsonl``.
 _SHARD_SUFFIX_RE = re.compile(r"-(\d+)$")
+
+#: How often a free pool slot re-reads the pre-run's probe file while it
+#: waits for a reached point.
+PROBE_POLL_SECONDS = 0.02
+
+
+@dataclass
+class PreRun:
+    """A campaign's coverage pre-run, handed to the backend that runs it.
+
+    ``run(on_services_started)`` runs the pre-run and returns its report
+    (the callback as in :func:`~repro.orchestrator.coverage.run_coverage`,
+    or ``None``).  ``schedule(report, started)`` turns the report into
+    the ordered pending list, of which the backend has already started
+    ``started`` experiments; it raises for a pre-run whose services
+    failed.  ``early`` holds the experiments that may start before the
+    report, each once the pre-run has reached its point (empty: none).
+    """
+
+    run: Callable[[Callable[[ProbeTail], None] | None], CoverageReport]
+    schedule: Callable[[CoverageReport, int], list[PlannedExperiment]]
+    early: list[PlannedExperiment] = field(default_factory=list)
 
 
 @dataclass
@@ -129,6 +158,10 @@ class ExecutionContext:
     #: The :class:`~repro.service.blobs.BlobStore` holding the
     #: manifest's blobs (the upload source for missing ones).
     blob_store: object | None = None
+    #: The campaign's coverage pre-run.  When set, the ``pending``
+    #: argument of ``execute`` is empty: the pending list is what the
+    #: pre-run's report schedules.
+    prerun: PreRun | None = None
 
 
 @dataclass
@@ -372,14 +405,70 @@ def _partition(pending: list[PlannedExperiment],
     return parts
 
 
+class _PreRunSlot:
+    """The coverage pre-run as the first job of a thread pool.
+
+    While the pre-run runs, :meth:`admitted` hands out the early
+    experiments whose point its probe file shows reached, latest reached
+    first, and only once its services are up; :meth:`report` waits for
+    the report and re-raises whatever the pre-run raised.
+    """
+
+    def __init__(self, prerun: PreRun) -> None:
+        self.prerun = prerun
+        self.finished = threading.Event()
+        self.probes: ProbeTail | None = None
+        self._report: CoverageReport | None = None
+        self._error: Exception | None = None
+
+    def job(self) -> None:
+        try:
+            self._report = self.prerun.run(self._services_started)
+        except Exception as error:  # noqa: BLE001 - raised after the drain
+            self._error = error
+        finally:
+            self.finished.set()
+
+    def _services_started(self, probes: ProbeTail) -> None:
+        self.probes = probes
+
+    def admitted(self, cancel: Callable[[], bool] | None,
+                 ) -> Iterator[PlannedExperiment]:
+        """Early experiments as the pre-run reaches their points, until
+        it ends or a cancellation request stops the hand-outs."""
+        waiting = {planned.point.point_id: planned
+                   for planned in self.prerun.early}
+        reached: dict[str, PlannedExperiment] = {}
+        while (waiting or reached) and not self.finished.is_set():
+            if cancel is not None and cancel():
+                return
+            if self.probes is not None:
+                for point_id in self.probes.poll():
+                    if point_id in waiting:
+                        reached[point_id] = waiting.pop(point_id)
+            if reached:
+                yield reached.pop(next(reversed(reached)))
+            else:
+                self.finished.wait(PROBE_POLL_SECONDS)
+
+    def report(self) -> CoverageReport:
+        self.finished.wait()
+        if self._error is not None:
+            raise self._error
+        return self._report
+
+
 def _run_pipelined(executor: ExperimentExecutor,
                    pending: list[PlannedExperiment],
                    stream: ExperimentStream,
                    parallelism: int | None,
                    cancel: Callable[[], bool] | None,
-                   progress: ShardProgress | None,
+                   progress_for: Callable[[list[PlannedExperiment]],
+                                          ShardProgress] | None,
                    shard_for: Callable[[PlannedExperiment], int],
-                   admit: Callable[[str], bool] | None = None) -> bool:
+                   admit: Callable[[str], bool] | None = None,
+                   prerun: PreRun | None = None,
+                   ) -> tuple[bool, ShardProgress | None]:
     """One pool pass over ``pending`` with pipelined mutant generation.
 
     The single generator thread produces mutants per ``(file, spec)``
@@ -389,8 +478,20 @@ def _run_pipelined(executor: ExperimentExecutor,
     progress accounting only, so shard count never multiplies the
     parse/match work.  ``admit`` (a shard worker's release gate) is
     asked before each hand-out; an experiment it refuses was released
-    to another worker and is skipped.  Returns whether a cancellation
-    request stopped the run early.
+    to another worker and is skipped.  ``progress_for`` builds the
+    progress tracker over the pending list once that list is known.
+    Returns whether a cancellation request stopped the run early, and
+    the tracker.
+
+    With a ``prerun``, ``pending`` is ignored.  The pre-run is the
+    pool's first job, and each other slot that frees meanwhile starts
+    an early experiment whose point it has reached, its mutant made
+    alone.  At the report, the pre-run's ``schedule`` gives the pending
+    list; the tracker is built over it, counting what started and
+    finished before, and the grouped producer hands out the rest.  No
+    snapshot is emitted before the report.  A failed pre-run or
+    ``schedule`` stops the hand-outs, and its exception is raised once
+    the started experiments have drained and been recorded.
 
     The pool captures ``on_result`` exceptions per outcome so one failed
     stream append cannot kill the campaign mid-flight — but a failed
@@ -399,14 +500,74 @@ def _run_pipelined(executor: ExperimentExecutor,
     stream keeps everything that did land, and a resume re-runs exactly
     the unrecorded experiments.
     """
-    jobs_seen: list[PlannedExperiment] = []
+    slot = _PreRunSlot(prerun) if prerun is not None else None
+    #: Per pool job index: its experiment (``None`` for the pre-run).
+    jobs_seen: list[PlannedExperiment | None] = []
     shard_of: dict[str, int] = {}
     started_shards: set[int] = set()
+    #: Shards of the experiments recorded before the tracker existed.
+    finished_early: list[int] = []
+    lock = threading.Lock()
+    progress: ShardProgress | None = None
+    settled = slot is None
     cancelled = False
+    failure: Exception | None = None
+
+    def track(experiments: list[PlannedExperiment]) -> None:
+        nonlocal progress
+        if progress_for is None:
+            return
+        tracker = progress_for(experiments)
+        sink, tracker.sink = tracker.sink, None
+        for shard in started_shards:
+            tracker.start(shard)
+        with lock:
+            for shard in finished_early:
+                tracker.record(shard)
+            tracker.sink = sink
+            progress = tracker
+        tracker.emit()
+
+    def settle() -> list[PlannedExperiment]:
+        """Track the pending list the report schedules; return the part
+        not started yet."""
+        nonlocal settled
+        settled = True
+        scheduled = slot.prerun.schedule(slot.report(), len(shard_of))
+        track(scheduled)
+        return [planned for planned in scheduled
+                if planned.experiment_id not in shard_of]
+
+    def hand_out(planned: PlannedExperiment, mutation):
+        shard = shard_for(planned)
+        if shard not in started_shards:
+            started_shards.add(shard)
+            if progress is not None:
+                progress.start(shard)
+        shard_of[planned.experiment_id] = shard
+        jobs_seen.append(planned)
+        return _job_for(executor, planned, mutation)
 
     def jobs():
-        nonlocal cancelled
-        for planned, mutation in executor.iter_mutations(pending):
+        nonlocal cancelled, failure
+        todo = pending
+        if slot is None:
+            track(pending)
+        else:
+            jobs_seen.append(None)
+            yield slot.job
+            for planned in slot.admitted(cancel):
+                [(_, mutation)] = executor.iter_mutations([planned])
+                yield hand_out(planned, mutation)
+            if cancel is not None and cancel():
+                cancelled = True
+                return
+            try:
+                todo = settle()
+            except Exception as error:  # noqa: BLE001 - raised after the drain
+                failure = error
+                return
+        for planned, mutation in executor.iter_mutations(todo):
             # The cooperative cancellation point between experiments:
             # jobs are pulled lazily, so once the hook fires nothing
             # further is handed out.
@@ -415,21 +576,29 @@ def _run_pipelined(executor: ExperimentExecutor,
                 return
             if admit is not None and not admit(planned.experiment_id):
                 continue
-            shard = shard_for(planned)
-            if progress is not None and shard not in started_shards:
-                started_shards.add(shard)
-                progress.start(shard)
-            shard_of[planned.experiment_id] = shard
-            jobs_seen.append(planned)
-            yield _job_for(executor, planned, mutation)
+            yield hand_out(planned, mutation)
 
     def on_result(outcome: JobOutcome) -> None:
         planned = jobs_seen[outcome.index]
-        if record_outcome(stream, planned, outcome) and progress is not None:
-            progress.record(shard_of[planned.experiment_id])
+        if planned is None or not record_outcome(stream, planned, outcome):
+            return
+        shard = shard_of[planned.experiment_id]
+        with lock:
+            tracker = progress
+            if tracker is None:
+                if progress_for is not None:
+                    finished_early.append(shard)
+                return
+        tracker.record(shard)
 
     pool = ExperimentPool(parallelism=parallelism)
     outcomes = pool.run(jobs(), on_result=on_result, retain_results=False)
+    if failure is not None:
+        raise failure
+    if not settled:
+        # Cancelled before the report: the pool drained the pre-run, so
+        # its report is in.
+        settle()
     sink_failures = [outcome for outcome in outcomes
                      if outcome.sink_error is not None]
     if sink_failures:
@@ -439,7 +608,7 @@ def _run_pipelined(executor: ExperimentExecutor,
             "resuming will re-run the unrecorded experiments); first "
             f"failure:\n{sink_failures[0].sink_error}"
         )
-    return cancelled or (cancel is not None and cancel())
+    return cancelled or (cancel is not None and cancel()), progress
 
 
 def _job_for(executor: ExperimentExecutor, planned: PlannedExperiment,
@@ -447,6 +616,17 @@ def _job_for(executor: ExperimentExecutor, planned: PlannedExperiment,
     def job():
         return executor.run(planned, mutation=mutation)
     return job
+
+
+def _after_prerun(context: ExecutionContext,
+                  pending: list[PlannedExperiment]) -> list[PlannedExperiment]:
+    """``pending``, or with a pre-run, the pending list its report
+    schedules.  The pre-run runs here, alone: a sharded backend's
+    payloads are fixed at placement, so nothing starts before the
+    report."""
+    if context.prerun is None:
+        return pending
+    return context.prerun.schedule(context.prerun.run(None), 0)
 
 
 # -- thread backend ----------------------------------------------------------------
@@ -458,7 +638,9 @@ class ThreadBackend:
     One adaptive thread pool and one generation pass execute every
     pending experiment — the shard partition affects *only* progress
     grouping, never results or the amount of parse/match work.  Results
-    stream directly into the canonical stream as they complete.
+    stream directly into the canonical stream as they complete.  A
+    campaign's coverage pre-run is the pool's first job
+    (:func:`_run_pipelined`).
     """
 
     name = BACKEND_THREAD
@@ -467,24 +649,28 @@ class ThreadBackend:
                 pending: list[PlannedExperiment],
                 stream: ExperimentStream) -> ExecutionOutcome:
         shard_count = context.shards
-        shards = _partition(pending, shard_count)
-        progress = ShardProgress(self.name, [len(s) for s in shards],
-                                 sink=context.on_progress)
-        progress.emit()
-        cancelled = _run_pipelined(
+
+        def progress_over(experiments: list[PlannedExperiment]):
+            return ShardProgress(
+                self.name,
+                [len(part) for part in _partition(experiments, shard_count)],
+                sink=context.on_progress)
+
+        cancelled, progress = _run_pipelined(
             context.executor,
             pending,
             stream,
             context.parallelism,
             context.cancel,
-            progress,
+            progress_over,
             lambda planned: shard_index(planned.experiment_id,
                                         shard_count),
+            prerun=context.prerun,
         )
         if cancelled:
-            for index, experiments in enumerate(shards):
-                if experiments:
-                    progress.finish(index, state="stopped")
+            for entry in progress.snapshot()["shards"]:
+                if entry["total"]:
+                    progress.finish(entry["shard"], state="stopped")
         progress.emit()
         return ExecutionOutcome(cancelled=cancelled,
                                 shards=progress.snapshot()["shards"])
@@ -629,7 +815,7 @@ def _run_shard_worker(payload: dict) -> dict:
     stream = ExperimentStream(payload["stream_path"])
     stream.clear()  # recovery merged any previous leftovers already
     shard = payload["shard"]
-    cancelled = _run_pipelined(
+    cancelled, _ = _run_pipelined(
         executor,
         planned,
         stream,
@@ -1235,7 +1421,8 @@ class RemoteBackend:
     mirrors only ever hold complete records, and the end merges them
     into the canonical stream sorted by experiment id
     (:func:`merge_and_backfill`) — so a campaign killed mid-run resumes
-    from everything mirrored so far, on any backend.
+    from everything mirrored so far, on any backend.  A campaign's
+    coverage pre-run runs first, alone (:func:`_after_prerun`).
 
     A *placement* is part of one shard, submitted at most once, to one
     worker.  Each poll tick moves every open placement through one of
@@ -1305,7 +1492,8 @@ class RemoteBackend:
     def execute(self, context: ExecutionContext,
                 pending: list[PlannedExperiment],
                 stream: ExperimentStream) -> ExecutionOutcome:
-        return _Dispatcher(self, context, pending, stream).run()
+        return _Dispatcher(self, context, _after_prerun(context, pending),
+                           stream).run()
 
 
 # -- process backend ---------------------------------------------------------------
@@ -1362,6 +1550,7 @@ class ProcessBackend(RemoteBackend):
     def execute(self, context: ExecutionContext,
                 pending: list[PlannedExperiment],
                 stream: ExperimentStream) -> ExecutionOutcome:
+        pending = _after_prerun(context, pending)
         active = sum(1 for experiments in _partition(pending, context.shards)
                      if experiments)
         root = stream.path.with_name(stream.path.stem + ".workers")
@@ -1390,7 +1579,7 @@ class ProcessBackend(RemoteBackend):
                         f"{process.name} exited during startup") from None
             return super().execute(
                 dataclasses.replace(context, workers=urls, registry=None,
-                                    image_manifest=None),
+                                    image_manifest=None, prerun=None),
                 pending, stream,
             )
         finally:
@@ -1418,6 +1607,7 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionContext",
     "ExecutionOutcome",
+    "PreRun",
     "ProcessBackend",
     "RemoteBackend",
     "ShardProgress",

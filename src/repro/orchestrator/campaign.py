@@ -4,12 +4,21 @@
 method that takes and returns plain data: ``prepare`` (materialize a
 manifest-only target, check the target, build the sandbox image),
 ``scan``, ``plan`` (points to a :class:`Plan`, filters applied),
-``cover`` (the coverage pre-run reduces the plan), ``sample``,
-``open_stream`` (meta check, shard-stream recovery, resume set),
-``order`` (expected seconds for longest-first dispatch), ``execute``
-(a pluggable backend, ``CampaignConfig.backend``, pipelines mutant
-generation with sharded execution and streams results to disk) and
-``finish`` (a stopping rule's early stop versus a cancellation).
+``open_stream`` (meta check, shard-stream recovery and the recorded
+ids, before any sandbox starts), ``execute`` and ``finish`` (a stopping
+rule's early stop versus a cancellation).
+
+``execute`` hands a pluggable backend (``CampaignConfig.backend``) the
+coverage pre-run (``cover``) and ``schedule``, which turns the pre-run's
+report into the ordered pending list: the plan reduced to the covered
+points, sampled, minus the recorded experiments, with expected seconds
+for longest-first dispatch (``order``).  The thread backend runs the
+pre-run in one pool slot and, when reaching a point decides that it
+belongs to the plan (no sample, no stopping rule), starts experiments
+of points already reached in the others; the sharded backends run it
+first.  Without coverage, ``schedule`` runs before the backend.  The
+backend pipelines mutant generation with execution and streams results
+to disk.
 
 The execution phase is deterministic and crash-resumable: every
 per-experiment RNG and runtime seed derives from
@@ -34,6 +43,7 @@ from repro.orchestrator.backends import (
     BACKEND_THREAD,
     ExecutionContext,
     ExecutionOutcome,
+    PreRun,
     create_backend,
     discard_shard_streams,
     recover_shard_streams,
@@ -47,7 +57,7 @@ from repro.orchestrator.coverage import (
 )
 from repro.orchestrator.executor import ExperimentExecutor
 from repro.orchestrator.experiment import ExperimentResult
-from repro.orchestrator.plan import Plan
+from repro.orchestrator.plan import Plan, PlannedExperiment
 from repro.orchestrator.stream import ExperimentStream
 from repro.sandbox.image import SandboxImage
 from repro.scanner.cache import ScanCache, faultload_digest
@@ -207,7 +217,11 @@ class CampaignResult:
     population: int = 0
     coverage: CoverageReport | None = None
     scan_seconds: float = 0.0
+    #: The coverage pre-run alone (instrumentation, cache lookup, run).
     coverage_seconds: float = 0.0
+    #: The execution phase, pre-run included on every backend: on the
+    #: thread backend experiments run beside the pre-run, so the two
+    #: phases overlap.
     execution_seconds: float = 0.0
     scan_errors: dict[str, str] = field(default_factory=dict)
     #: Where the per-experiment result stream lives (None once the
@@ -368,48 +382,11 @@ class Campaign:
                                files=config.file_filter)
         return plan
 
-    def cover(self, image: SandboxImage, plan: Plan, workspace: Path,
-              say) -> tuple[Plan, CoverageReport]:
-        """Run (or reuse) the coverage pre-run: ``(plan reduced to the
-        covered points, report)``.  A pre-run whose services fail to
-        start raises ``RuntimeError``."""
-        say(f"coverage pre-run over {len(plan)} points")
-        report = run_coverage(image, self.config.workload, plan.points,
-                              self.models, workspace / "sandboxes",
-                              cache=self.scan_cache)
-        if report.error:
-            # Reducing by an empty covered set would "complete" a
-            # campaign that injected nothing.
-            raise RuntimeError(f"coverage pre-run failed: {report.error}")
-        if report.reused:
-            say(f"coverage reused (key {report.key[:12]})")
-        if report.workload_failed:
-            # The plan is still reduced, but by what a failing run
-            # reached: say so.
-            say("coverage pre-run: fault-free workload failed; covered "
-                "set not stored")
-        return reduce_plan(plan, report), report
-
-    def sample(self, plan: Plan, say) -> Plan:
-        """The configured sample of ``plan``, drawn prefix-stable: a
-        larger target (or none) plans a superset, so resume runs only
-        the delta."""
-        sampling = self.config.sampling
-        target = sampling.max_experiments if sampling is not None else None
-        if target is None:
-            target = self.config.sample
-        if target is None:
-            return plan
-        sampled = monotone_sample(plan, target, self.config.seed, stratify_by=(
-            sampling.stratify_by if sampling is not None else None))
-        say(f"sampled {len(sampled)} of {len(plan)} planned experiments")
-        return sampled
-
     def open_stream(self, stream: ExperimentStream, plan: Plan,
-                    target_manifest, say) -> Plan:
+                    target_manifest) -> tuple[set[str], int]:
         """Check the result stream against this campaign (or clear it,
-        with ``resume`` off) and return the part of ``plan`` it has not
-        recorded yet."""
+        with ``resume`` off): ``(experiment ids it has recorded,
+        experiments recovered from partial shard streams)``."""
         config = self.config
         # Fingerprint of everything that gives experiment ids their
         # meaning; a stream recorded under different parameters must
@@ -429,7 +406,7 @@ class Campaign:
             stream.clear()
             discard_shard_streams(stream.path)
             stream.write_meta(stream_meta)
-            return plan
+            return set(), 0
         existing_meta = stream.read_meta()
         if existing_meta is not None and existing_meta != stream_meta:
             changed = sorted(key for key in stream_meta
@@ -445,17 +422,65 @@ class Campaign:
         # computing the resume set, so those experiments count as
         # recorded regardless of the backend or shard count this run uses.
         salvaged = recover_shard_streams(stream)
-        if salvaged:
-            say(f"recovered {salvaged} experiments from partial shard "
-                "streams")
         recorded = stream.recorded_ids()
         if existing_meta is None:
             stream.write_meta(stream_meta)
-        pending = plan.excluding(recorded)
-        if len(pending) < len(plan):
-            say(f"resuming: {len(plan) - len(pending)} experiments already "
-                "recorded in the stream")
-        return pending
+        return recorded, salvaged
+
+    def cover(self, image: SandboxImage, plan: Plan, workspace: Path,
+              result: CampaignResult, say,
+              on_services_started) -> CoverageReport:
+        """Run (or reuse) the coverage pre-run over ``plan``'s points,
+        timed into ``result.coverage_seconds``; ``on_services_started``
+        is :func:`run_coverage`'s callback."""
+        say(f"coverage pre-run over {len(plan)} points")
+        started = time.monotonic()
+        report = run_coverage(image, self.config.workload, plan.points,
+                              self.models, workspace / "sandboxes",
+                              cache=self.scan_cache,
+                              on_services_started=on_services_started)
+        result.coverage_seconds = time.monotonic() - started
+        return report
+
+    def reduce(self, plan: Plan, report: CoverageReport, started: int,
+               say) -> Plan:
+        """``plan`` reduced to the covered points.  A pre-run whose
+        services failed to start raises ``RuntimeError``."""
+        if report.error:
+            # Reducing by an empty covered set would "complete" a
+            # campaign that injected nothing.
+            raise RuntimeError(f"coverage pre-run failed: {report.error}")
+        if report.reused:
+            say(f"coverage reused (key {report.key[:12]})")
+        if report.workload_failed:
+            # The plan is still reduced, but by what a failing run
+            # reached: say so.
+            say("coverage pre-run: fault-free workload failed; covered "
+                "set not stored")
+        if started:
+            say(f"coverage pre-run: {started} experiments started while "
+                "it ran")
+        return reduce_plan(plan, report)
+
+    def sample(self, plan: Plan, say) -> Plan:
+        """The configured sample of ``plan``, drawn prefix-stable: a
+        larger target (or none) plans a superset, so resume runs only
+        the delta."""
+        target = self.sample_size()
+        if target is None:
+            return plan
+        sampling = self.config.sampling
+        sampled = monotone_sample(plan, target, self.config.seed, stratify_by=(
+            sampling.stratify_by if sampling is not None else None))
+        say(f"sampled {len(sampled)} of {len(plan)} planned experiments")
+        return sampled
+
+    def sample_size(self) -> int | None:
+        """How many experiments the plan is sampled down to (None: all)."""
+        sampling = self.config.sampling
+        if sampling is not None and sampling.max_experiments is not None:
+            return sampling.max_experiments
+        return self.config.sample
 
     def order(self, dispatch_key: str | None,
               coverage: CoverageReport | None, say) -> dict[str, float]:
@@ -475,25 +500,74 @@ class Campaign:
             return expected
         return {}
 
-    def execute(self, image: SandboxImage, pending: Plan,
-                stream: ExperimentStream, workspace: Path,
-                artifacts: Path | None, expected: dict[str, float],
-                cancel, monitor: StoppingMonitor | None, on_progress,
-                dispatch_key: str | None, say) -> ExecutionOutcome:
-        """Run ``pending`` on the configured backend, then record each
-        point's duration under ``dispatch_key``.  The executor polls the
-        user's ``cancel``; the backend polls :func:`_cancel_or_stop`."""
+    def schedule(self, plan: Plan, recorded: set[str], salvaged: int,
+                 monitor: StoppingMonitor | None, dispatch_key: str | None,
+                 executor: ExperimentExecutor, result: CampaignResult, say,
+                 report: CoverageReport | None = None,
+                 started: int = 0) -> list[PlannedExperiment]:
+        """The pending experiments: ``plan`` reduced by the pre-run's
+        ``report`` (``started`` of them already running), sampled, minus
+        the ``recorded`` ones, with their dispatch estimates set on
+        ``executor``.  Fills the plan counts of ``result``."""
         config = self.config
+        if report is not None:
+            result.coverage = report
+            plan = self.reduce(plan, report, started, say)
+        result.population = len(plan)
+        plan = self.sample(plan, say)
+        result.points_planned = len(plan)
+        if salvaged:
+            say(f"recovered {salvaged} experiments from partial shard "
+                "streams")
+        pending = plan.excluding(recorded)
+        result.resumed = len(plan) - len(pending)
+        if result.resumed:
+            say(f"resuming: {result.resumed} experiments already "
+                "recorded in the stream")
+        # A stopping rule reads the stream as it grows, so its order
+        # stays the plan's.
+        executor.expected_seconds = (
+            {} if monitor is not None
+            else self.order(dispatch_key, report, say))
+        say(f"executing {len(pending)} experiments "
+            f"({config.backend} backend, {config.shards} shard(s), "
+            "pipelined mutant generation)")
+        return list(pending)
+
+    def execute(self, image: SandboxImage, plan: Plan, recorded: set[str],
+                salvaged: int, stream: ExperimentStream, workspace: Path,
+                result: CampaignResult, cancel,
+                monitor: StoppingMonitor | None, on_progress,
+                say) -> ExecutionOutcome:
+        """Run the pre-run and ``plan``'s pending experiments on the
+        configured backend, then record each point's duration.  The
+        executor polls the user's ``cancel``; the backend polls
+        :func:`_cancel_or_stop`."""
+        config = self.config
+        dispatch_key = (durations_key(image, config.workload,
+                                      config.rounds, config.trigger)
+                        if self.scan_cache is not None else None)
         executor = ExperimentExecutor(
             image=image, workload=config.workload, models=self.models,
             base_dir=workspace / "sandboxes", trigger=config.trigger,
             rounds=config.rounds, campaign_seed=config.seed,
-            artifacts_dir=artifacts, cancel_check=cancel,
-            expected_seconds=expected,
+            artifacts_dir=result.artifacts_dir, cancel_check=cancel,
         )
-        say(f"executing {len(pending)} experiments "
-            f"({config.backend} backend, {config.shards} shard(s), "
-            "pipelined mutant generation)")
+        schedule = functools.partial(self.schedule, plan, recorded, salvaged,
+                                     monitor, dispatch_key, executor, result,
+                                     say)
+        pending, prerun = [], None
+        if config.coverage:
+            # Only when reaching a point decides that it belongs to the
+            # plan may its experiment start before the report.
+            early = (plan.excluding(recorded).experiments
+                     if monitor is None and self.sample_size() is None
+                     else [])
+            prerun = PreRun(run=functools.partial(
+                self.cover, image, plan, workspace, result, say),
+                schedule=schedule, early=early)
+        else:
+            pending = schedule()
         registry = shard_manifest = blob_store = None
         if config.registry_url:
             # Lazy: client.py imports this module at load time.
@@ -517,10 +591,10 @@ class Campaign:
                 _cancel_or_stop, cancel, monitor.check)),
             on_progress=on_progress, workers=config.workers,
             registry=registry, image_manifest=shard_manifest,
-            blob_store=blob_store,
+            blob_store=blob_store, prerun=prerun,
         )
         outcome = create_backend(config.backend).execute(
-            context, list(pending), stream)
+            context, pending, stream)
         if dispatch_key is not None:
             self.scan_cache.store_durations(dispatch_key, stream.durations())
         return outcome
@@ -580,32 +654,18 @@ class Campaign:
             result.scan_errors = scan.parse_errors
             result.points_found = len(scan.points)
             plan = self.plan(scan)
-            if config.coverage:
-                (plan, result.coverage), result.coverage_seconds = _timed(
-                    self.cover, image, plan, workspace, say)
-            result.population = len(plan)
-            plan = self.sample(plan, say)
-            result.points_planned = len(plan)
-            pending = self.open_stream(stream, plan, target_manifest, say)
-            result.resumed = len(plan) - len(pending)
+            recorded, salvaged = self.open_stream(stream, plan,
+                                                  target_manifest)
             monitor = _stopping_monitor(config.sampling, stream.path)
-            dispatch_key = (durations_key(image, config.workload,
-                                          config.rounds, config.trigger)
-                            if self.scan_cache is not None else None)
-            # A stopping rule reads the stream as it grows, so its order
-            # stays the plan's.
-            expected = ({} if monitor is not None
-                        else self.order(dispatch_key, result.coverage, say))
             if config.keep_artifacts:
                 result.artifacts_dir = workspace / "artifacts"
                 result.artifacts_dir.mkdir(parents=True, exist_ok=True)
             feed = (functools.partial(_progress_over_plan, on_progress,
-                                      result.resumed)
+                                      result)
                     if on_progress is not None else None)
             outcome, result.execution_seconds = _timed(
-                self.execute, image, pending, stream, workspace,
-                result.artifacts_dir, expected, cancel, monitor, feed,
-                dispatch_key, say)
+                self.execute, image, plan, recorded, salvaged, stream,
+                workspace, result, cancel, monitor, feed, say)
             result.experiments_path = stream.path
             return self.finish(result, outcome, monitor, cancel, say)
         finally:
@@ -650,9 +710,13 @@ def _cancel_or_stop(cancel, stop) -> bool:
     return stop()
 
 
-def _progress_over_plan(on_progress, resumed: int, snapshot: dict) -> None:
+def _progress_over_plan(on_progress, result: CampaignResult,
+                        snapshot: dict) -> None:
     """Pass on a backend's progress snapshot, which counts the pending
-    remainder, over the whole plan: the resumed experiments count too."""
+    remainder, over the whole plan: the resumed experiments count too.
+    Backends send no snapshot before the pending list is scheduled, so
+    ``result.resumed`` is set by then."""
+    resumed = result.resumed
     snapshot = dict(snapshot)
     snapshot["experiments_done"] += resumed
     snapshot["experiments_total"] += resumed

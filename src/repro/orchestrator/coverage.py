@@ -14,6 +14,13 @@ point is reached, so the reach time plus the fault-free rounds after it
 experiment takes; a campaign with no recorded durations dispatches
 longest-first from that estimate.
 
+While the pre-run runs, :class:`ProbeTail` is a live view of its probe
+file: the points reached so far, read from complete lines only.  A
+campaign on the thread backend runs the pre-run in one pool slot and
+starts experiments of points it has already reached in the others;
+points never become uncovered once covered, and the view is closed
+before the final read, so no point it shows is missing from the report.
+
 The pre-run is content-addressed: its covered set and reach times are
 stored in the campaign's :class:`~repro.scanner.cache.ScanCache` under
 :func:`coverage_key`, a digest of the exact program and driver it
@@ -28,14 +35,17 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.dsl.metamodel import MetaModel
 from repro.mutator.mutate import Mutator
 from repro.mutator.runtime import COVERAGE_ENV
 from repro.orchestrator.plan import Plan
+from repro.orchestrator.stream import read_complete_lines
 from repro.sandbox.image import SandboxImage
 from repro.sandbox.sandbox import _INHERITED_ENV, Sandbox
 from repro.scanner.cache import ScanCache
@@ -78,6 +88,70 @@ class CoverageReport:
         fault-free."""
         return {point_id: offset + (rounds - 1) * self.seconds
                 for point_id, offset in self.reached.items()}
+
+
+class ProbeTail:
+    """A live view of a running pre-run's probe file.
+
+    Each probe line is ``point_id<TAB>time.time()``, one per point per
+    process; :attr:`reached` keeps each known point's earliest stamp
+    (``None`` for a line with no stamp).  :meth:`poll` reads only the
+    complete lines appended since the last poll.  :meth:`close` reads
+    the rest, an unterminated last line included, and ends the view:
+    :func:`run_coverage` closes it before building its report, so every
+    point a poll ever returned is covered by the report.
+    """
+
+    def __init__(self, path: Path, known: "set[str]") -> None:
+        self.path = path
+        self.reached: dict[str, float | None] = {}
+        self._known = known
+        self._offset = 0
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def poll(self) -> list[str]:
+        """The point ids first seen since the last poll, in file order;
+        none once the view is closed."""
+        with self._lock:
+            if self._closed:
+                return []
+            chunk = read_complete_lines(self.path, self._offset)
+            self._offset += len(chunk)
+            return self._absorb(chunk)
+
+    def close(self) -> None:
+        """Read what is left of the file and end the view."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            try:
+                with open(self.path, "rb") as handle:
+                    handle.seek(self._offset)
+                    rest = handle.read()
+            except OSError:
+                rest = b""
+            self._absorb(rest)
+
+    def _absorb(self, chunk: bytes) -> list[str]:
+        new = []
+        for line in chunk.decode("utf-8", errors="replace").splitlines():
+            point_id, _, stamp = line.strip().partition("\t")
+            if point_id not in self._known:
+                continue
+            try:
+                seconds = float(stamp)
+            except ValueError:
+                seconds = None  # an untimed probe line still covers
+            if point_id not in self.reached:
+                new.append(point_id)
+                self.reached[point_id] = seconds
+            elif seconds is not None:
+                earlier = self.reached[point_id]
+                self.reached[point_id] = (seconds if earlier is None
+                                          else min(earlier, seconds))
+        return new
 
 
 def _run_key(image: SandboxImage, workload: WorkloadSpec,
@@ -134,12 +208,18 @@ def run_coverage(
     base_dir: str | Path,
     name: str = "coverage",
     cache: ScanCache | None = None,
+    *,
+    on_services_started: Callable[[ProbeTail], None] | None = None,
 ) -> CoverageReport:
     """Instrument every point, run the workload once, read the probes.
 
     With a ``cache``, a covered set and reach times stored under the
     same :func:`coverage_key` are returned without starting a sandbox; a
     fresh run is stored only when the workload started and passed.
+    ``on_services_started`` is called once ``start_services`` has
+    returned, with the live :class:`ProbeTail` of the probe file (its
+    ``path`` is the file); it is never called for a reused report or a
+    run whose services failed to start.
     """
     report = CoverageReport(total=len(points))
     if not points:
@@ -175,8 +255,8 @@ def run_coverage(
             return report
 
     with Sandbox.create(image, base_dir, name) as sandbox:
-        coverage_path = sandbox.path(COVERAGE_FILE)
-        sandbox.env[COVERAGE_ENV] = str(coverage_path)
+        probes = ProbeTail(sandbox.path(COVERAGE_FILE), known)
+        sandbox.env[COVERAGE_ENV] = str(probes.path)
         for rel_file, source in instrumented.items():
             sandbox.write_file(rel_file, source)
         origin = time.time()
@@ -185,24 +265,16 @@ def run_coverage(
         except ServiceStartError as error:
             report.error = str(error)
             return report
+        if on_services_started is not None:
+            on_services_started(probes)
         round_result = run_round(sandbox, workload, 1, fault_enabled=False)
         report.seconds = time.time() - origin
         report.workload_failed = round_result.failed
-        try:
-            content = coverage_path.read_text(encoding="utf-8")
-        except OSError:
-            content = ""
-    for line in content.splitlines():
-        point_id, _, stamp = line.strip().partition("\t")
-        if point_id not in known:
-            continue
+        probes.close()
+    for point_id, stamp in probes.reached.items():
         report.covered.add(point_id)
-        try:
-            offset = max(0.0, float(stamp) - origin)
-        except ValueError:
-            continue  # an untimed probe line still covers its point
-        report.reached[point_id] = min(
-            offset, report.reached.get(point_id, offset))
+        if stamp is not None:
+            report.reached[point_id] = max(0.0, stamp - origin)
     if cache is not None and not report.workload_failed:
         cache.store_coverage(report.key, report.covered, report.reached,
                              report.seconds)

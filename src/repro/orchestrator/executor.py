@@ -29,8 +29,11 @@ dispatched longest-expected-first when
 :attr:`ExperimentExecutor.expected_seconds` holds estimates, so the
 slowest experiments do not start last: recorded durations on a
 re-campaign, or, on a first campaign, the coverage pre-run's reach
-times (``CoverageReport.expected_seconds``).  Order never changes
-results.
+times (``CoverageReport.expected_seconds``).  While a pre-run still
+runs on the thread backend, an experiment whose point it has reached
+may start early, its mutant made alone (``iter_mutations([planned])``,
+on the same generating thread); the pre-run's report then orders the
+rest.  Order never changes results.
 """
 
 from __future__ import annotations
